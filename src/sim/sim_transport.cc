@@ -41,6 +41,11 @@ SimTransport::SimTransport(EventQueue& events, std::uint64_t seed)
 
 SimTransport::~SimTransport() { events_.bind_clock(nullptr); }
 
+int SimTransport::new_slot() {
+  table_.emplace_back();
+  return static_cast<int>(table_.size() - 1);
+}
+
 int SimTransport::listen_tcp(int port, bool /*listen_any*/,
                              int* bound_port) {
   if (port == 0) port = next_ephemeral_port_++;
@@ -48,10 +53,9 @@ int SimTransport::listen_tcp(int port, bool /*listen_any*/,
     errno = EADDRINUSE;
     return -1;
   }
-  const int h = next_handle_++;
-  Listener l;
-  l.port = port;
-  listeners_.emplace(h, std::move(l));
+  const int h = new_slot();
+  table_.back().listener = std::make_unique<Listener>();
+  table_.back().listener->port = port;
   tcp_binds_.emplace(port, h);
   if (bound_port != nullptr) *bound_port = port;
   return h;
@@ -60,10 +64,9 @@ int SimTransport::listen_tcp(int port, bool /*listen_any*/,
 int SimTransport::listen_unix(const std::string& path) {
   // Mirrors unix_listen: rebinding an existing path steals it.
   unix_binds_.erase(path);
-  const int h = next_handle_++;
-  Listener l;
-  l.path = path;
-  listeners_.emplace(h, std::move(l));
+  const int h = new_slot();
+  table_.back().listener = std::make_unique<Listener>();
+  table_.back().listener->path = path;
   unix_binds_.emplace(path, h);
   return h;
 }
@@ -92,17 +95,18 @@ int SimTransport::dial(int listener_handle) {
   const SimLinkParams link =
       next_dial_link_set_ ? next_dial_link_ : default_link_;
   next_dial_link_set_ = false;
-  const int ch = next_handle_++;
-  const int sh = next_handle_++;
-  Stream client;
-  client.peer = sh;
-  client.link = link;
-  Stream server;
-  server.peer = ch;
-  server.server_side = true;
-  server.link = link;
-  streams_.emplace(ch, std::move(client));
-  streams_.emplace(sh, std::move(server));
+  const int ch = new_slot();
+  const int sh = new_slot();
+  auto client = std::make_unique<Stream>();
+  client->peer = sh;
+  client->link = link;
+  auto server = std::make_unique<Stream>();
+  server->peer = ch;
+  server->server_side = true;
+  server->link = link;
+  table_[static_cast<std::size_t>(ch)].stream = std::move(client);
+  table_[static_cast<std::size_t>(sh)].stream = std::move(server);
+  live_streams_ += 2;
   ++stats_.conns_opened;
   // The SYN reaches the listener one propagation delay from now; any
   // bytes the client writes meanwhile arrive behind it.
@@ -112,21 +116,21 @@ int SimTransport::dial(int listener_handle) {
 }
 
 int SimTransport::accept(int listen_handle) {
-  const auto it = listeners_.find(listen_handle);
-  FT_CHECK(it != listeners_.end());
-  if (it->second.backlog.empty()) {
+  Listener* l = listener(listen_handle);
+  FT_CHECK(l != nullptr);
+  if (l->backlog.empty()) {
     errno = EAGAIN;
     return -1;
   }
-  const int sh = it->second.backlog.front();
-  it->second.backlog.pop_front();
+  const int sh = l->backlog.front();
+  l->backlog.pop_front();
   return sh;
 }
 
 std::int64_t SimTransport::read(int handle, void* buf, std::size_t len) {
-  const auto it = streams_.find(handle);
-  FT_CHECK(it != streams_.end());
-  Stream& s = it->second;
+  Stream* sp = stream(handle);
+  FT_CHECK(sp != nullptr);
+  Stream& s = *sp;
   if (s.reset) {
     errno = ECONNRESET;
     return -1;
@@ -141,7 +145,7 @@ std::int64_t SimTransport::read(int handle, void* buf, std::size_t len) {
       s.inbox_off = 0;
     }
     // Reading freed receive-window space: the peer may be write-blocked.
-    if (streams_.contains(s.peer)) request_notify(s.peer);
+    if (stream(s.peer) != nullptr) request_notify(s.peer);
     return static_cast<std::int64_t>(n);
   }
   if (s.peer_closed && s.in_flight == 0) return 0;  // clean EOF
@@ -151,19 +155,19 @@ std::int64_t SimTransport::read(int handle, void* buf, std::size_t len) {
 
 std::int64_t SimTransport::write(int handle, const void* buf,
                                  std::size_t len) {
-  const auto it = streams_.find(handle);
-  FT_CHECK(it != streams_.end());
-  Stream& s = it->second;
+  Stream* sp = stream(handle);
+  FT_CHECK(sp != nullptr);
+  Stream& s = *sp;
   if (s.reset || s.peer_closed) {
     errno = EPIPE;
     return -1;
   }
-  const auto pit = streams_.find(s.peer);
-  if (pit == streams_.end()) {
+  const Stream* pp = stream(s.peer);
+  if (pp == nullptr) {
     errno = EPIPE;
     return -1;
   }
-  Stream& peer = pit->second;
+  const Stream& peer = *pp;
   const auto pending = static_cast<std::int64_t>(peer.inbox.size() -
                                                  peer.inbox_off) +
                        peer.in_flight;
@@ -206,8 +210,8 @@ std::int64_t SimTransport::write(int handle, const void* buf,
 void SimTransport::send_segment(Stream& from,
                                 std::vector<std::uint8_t> data) {
   if (data.empty()) return;
-  const auto pit = streams_.find(from.peer);
-  if (pit == streams_.end() || !pit->second.open) {
+  Stream* peer = stream(from.peer);
+  if (peer == nullptr || !peer->open) {
     // The peer closed (or vanished) before these bytes could ship; a
     // real kernel would discard them the same way, but here the loss
     // must be *named* or the conservation oracle fires.
@@ -220,7 +224,7 @@ void SimTransport::send_segment(Stream& from,
                       from.link.bandwidth_bps);
   const Time arrive =
       from.link_free_at + from.link.latency_us * kMicrosecond;
-  pit->second.in_flight += static_cast<std::int64_t>(data.size());
+  peer->in_flight += static_cast<std::int64_t>(data.size());
   const std::uint64_t id = next_segment_++;
   segments_.emplace(id, Segment{from.peer, std::move(data)});
   events_.schedule(arrive, this, kTagDeliver, id);
@@ -268,28 +272,27 @@ void SimTransport::sieve_and_send(Stream& from) {
 }
 
 void SimTransport::close(int handle) {
-  const auto lit = listeners_.find(handle);
-  if (lit != listeners_.end()) {
+  if (Listener* l = listener(handle)) {
     // Pending, never-accepted connections die with the listener.
-    for (const int sh : lit->second.backlog) close(sh);
-    if (lit->second.port >= 0) tcp_binds_.erase(lit->second.port);
-    if (!lit->second.path.empty()) {
-      const auto bit = unix_binds_.find(lit->second.path);
+    for (const int sh : l->backlog) close(sh);
+    if (l->port >= 0) tcp_binds_.erase(l->port);
+    if (!l->path.empty()) {
+      const auto bit = unix_binds_.find(l->path);
       if (bit != unix_binds_.end() && bit->second == handle) {
         unix_binds_.erase(bit);
       }
     }
-    listeners_.erase(lit);
+    table_[static_cast<std::size_t>(handle)].listener.reset();
     return;
   }
-  const auto it = streams_.find(handle);
-  if (it == streams_.end()) return;
-  Stream& s = it->second;
+  Stream* sp = stream(handle);
+  if (sp == nullptr) return;
+  Stream& s = *sp;
   if (!s.open) return;
   s.open = false;
   s.watch = Watch{};
-  const auto pit = streams_.find(s.peer);
-  if (pit != streams_.end() && pit->second.open && !pit->second.reset) {
+  const Stream* peer = stream(s.peer);
+  if (peer != nullptr && peer->open && !peer->reset) {
     // FIN ordering: it arrives behind every byte already written.
     const Time at = std::max(events_.now(), s.link_free_at) +
                     s.link.latency_us * kMicrosecond;
@@ -301,18 +304,21 @@ void SimTransport::close(int handle) {
 }
 
 void SimTransport::maybe_erase_pair(int handle) {
-  const auto it = streams_.find(handle);
-  if (it == streams_.end() || it->second.open) return;
-  const auto pit = streams_.find(it->second.peer);
-  if (pit != streams_.end() && pit->second.open) return;
+  const Stream* s = stream(handle);
+  if (s == nullptr || s->open) return;
+  const int peer_handle = s->peer;
+  const Stream* peer = stream(peer_handle);
+  if (peer != nullptr && peer->open) return;
   // Sieve parse residue (an incomplete trailing frame) dies with the
   // pair; until now it counted as stranded, so re-home it.
-  drop_closed(static_cast<std::int64_t>(it->second.down_parse.size()));
-  if (pit != streams_.end()) {
-    drop_closed(static_cast<std::int64_t>(pit->second.down_parse.size()));
-    streams_.erase(pit);
+  drop_closed(static_cast<std::int64_t>(s->down_parse.size()));
+  if (peer != nullptr) {
+    drop_closed(static_cast<std::int64_t>(peer->down_parse.size()));
+    table_[static_cast<std::size_t>(peer_handle)].stream.reset();
+    --live_streams_;
   }
-  streams_.erase(handle);
+  table_[static_cast<std::size_t>(handle)].stream.reset();
+  --live_streams_;
 }
 
 void SimTransport::drop_closed(std::int64_t n) {
@@ -372,8 +378,10 @@ std::int64_t SimTransport::stranded_bytes() const {
   for (const auto& [id, seg] : segments_) {
     n += static_cast<std::int64_t>(seg.data.size());
   }
-  for (const auto& [h, s] : streams_) {
-    n += static_cast<std::int64_t>(s.down_parse.size());
+  for (const Slot& slot : table_) {
+    if (slot.stream != nullptr) {
+      n += static_cast<std::int64_t>(slot.stream->down_parse.size());
+    }
   }
   return n;
 }
@@ -397,33 +405,30 @@ void SimTransport::unlink_path(const std::string& path) {
 }
 
 void SimTransport::kill_all() {
-  // Ordered map: victims reset in handle order on every run.
-  for (auto& [h, s] : streams_) {
-    if (s.reset || !s.open) continue;
-    s.reset = true;
-    if (!s.server_side) ++stats_.conns_reset;
-    request_notify(h);
+  // Table order: victims reset in handle order on every run.
+  for (std::size_t h = 1; h < table_.size(); ++h) {
+    Stream* s = table_[h].stream.get();
+    if (s == nullptr || s->reset || !s->open) continue;
+    s->reset = true;
+    if (!s->server_side) ++stats_.conns_reset;
+    request_notify(static_cast<int>(h));
   }
 }
 
 SimTransport::Watch* SimTransport::watch_of(int handle) {
-  const auto it = streams_.find(handle);
-  if (it != streams_.end()) return &it->second.watch;
-  const auto lit = listeners_.find(handle);
-  if (lit != listeners_.end()) return &lit->second.watch;
+  if (Stream* s = stream(handle)) return &s->watch;
+  if (Listener* l = listener(handle)) return &l->watch;
   return nullptr;
 }
 
 std::uint32_t SimTransport::ready_mask(int handle) const {
-  const auto lit = listeners_.find(handle);
-  if (lit != listeners_.end()) {
-    const std::uint32_t m =
-        lit->second.backlog.empty() ? 0 : net::kEvRead;
-    return m & lit->second.watch.interest;
+  if (const Listener* l = listener(handle)) {
+    const std::uint32_t m = l->backlog.empty() ? 0 : net::kEvRead;
+    return m & l->watch.interest;
   }
-  const auto it = streams_.find(handle);
-  if (it == streams_.end()) return 0;
-  const Stream& s = it->second;
+  const Stream* sp = stream(handle);
+  if (sp == nullptr) return 0;
+  const Stream& s = *sp;
   std::uint32_t m = 0;
   if (s.reset) {
     m = net::kEvRead | net::kEvErr | net::kEvHup;
@@ -433,12 +438,11 @@ std::uint32_t SimTransport::ready_mask(int handle) const {
       m |= net::kEvRead;
     }
     if (!s.peer_closed) {
-      const auto pit = streams_.find(s.peer);
-      if (pit != streams_.end()) {
+      if (const Stream* peer = stream(s.peer)) {
         const auto pending =
-            static_cast<std::int64_t>(pit->second.inbox.size() -
-                                      pit->second.inbox_off) +
-            pit->second.in_flight;
+            static_cast<std::int64_t>(peer->inbox.size() -
+                                      peer->inbox_off) +
+            peer->in_flight;
         if (pending < static_cast<std::int64_t>(stream_buf_bytes_)) {
           m |= net::kEvWrite;
         }
@@ -466,14 +470,14 @@ void SimTransport::on_event(std::uint32_t tag, std::uint64_t arg) {
       auto node = segments_.extract(arg);
       if (node.empty()) return;
       Segment& seg = node.mapped();
-      const auto it = streams_.find(seg.dst);
-      if (it == streams_.end()) {
+      Stream* dp = stream(seg.dst);
+      if (dp == nullptr) {
         // Destination pair already torn down while the segment was in
         // flight: the bytes die, but not silently.
         drop_closed(static_cast<std::int64_t>(seg.data.size()));
         return;
       }
-      Stream& dst = it->second;
+      Stream& dst = *dp;
       dst.in_flight -= static_cast<std::int64_t>(seg.data.size());
       if (!dst.open || dst.reset) {
         // Bytes die at a closed door.
@@ -503,30 +507,29 @@ void SimTransport::on_event(std::uint32_t tag, std::uint64_t arg) {
       return;
     }
     case kTagConnect: {
-      const int listener = static_cast<int>(arg >> 32);
+      const int lh = static_cast<int>(arg >> 32);
       const int sh = static_cast<int>(static_cast<std::uint32_t>(arg));
-      const auto sit = streams_.find(sh);
-      if (sit == streams_.end()) return;
-      const auto lit = listeners_.find(listener);
-      if (lit == listeners_.end()) {
+      Stream* server = stream(sh);
+      if (server == nullptr) return;
+      Listener* l = listener(lh);
+      if (l == nullptr) {
         // Listener closed while the SYN was in flight: refuse late.
-        sit->second.reset = true;
-        const auto pit = streams_.find(sit->second.peer);
-        if (pit != streams_.end()) {
-          pit->second.reset = true;
-          request_notify(sit->second.peer);
+        server->reset = true;
+        if (Stream* client = stream(server->peer)) {
+          client->reset = true;
+          request_notify(server->peer);
         }
         return;
       }
-      lit->second.backlog.push_back(sh);
-      request_notify(listener);
+      l->backlog.push_back(sh);
+      request_notify(lh);
       return;
     }
     case kTagFin: {
       const int handle = static_cast<int>(static_cast<std::uint32_t>(arg));
-      const auto it = streams_.find(handle);
-      if (it == streams_.end()) return;
-      it->second.peer_closed = true;
+      Stream* s = stream(handle);
+      if (s == nullptr) return;
+      s->peer_closed = true;
       request_notify(handle);
       return;
     }

@@ -11,7 +11,8 @@
 // EndpointAgent run unmodified on virtual time: a 10k-endpoint
 // control plane converges in seconds of wall clock, and two runs with
 // the same seed replay bit-identically (single thread, seeded RNG,
-// seq-ordered event ties, ordered handle maps).
+// seq-ordered event ties, a handle-indexed table walked in handle
+// order).
 //
 // FaultJail-style faults compose with virtual time natively:
 //   - set_drop_down_frac: a seeded fraction of service->agent *frames*
@@ -43,7 +44,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -160,7 +160,9 @@ class SimTransport final : public net::Transport, public EventHandler {
   // delivered, plus sieve parse residue awaiting a complete frame.
   // Closes the conservation identity (see header comment).
   [[nodiscard]] std::int64_t stranded_bytes() const;
-  [[nodiscard]] std::size_t num_streams() const { return streams_.size(); }
+  // Live streams (both ends of every pair not yet torn down), not
+  // handles ever issued.
+  [[nodiscard]] std::size_t num_streams() const { return live_streams_; }
   [[nodiscard]] EventQueue& events() { return events_; }
   [[nodiscard]] VirtualClock& virtual_clock() { return clock_; }
 
@@ -206,6 +208,27 @@ class SimTransport final : public net::Transport, public EventHandler {
     std::vector<std::uint8_t> data;
   };
 
+  // One handle's entry in the table: a stream, a listener, or neither
+  // (closed, never reused). Both live behind a pointer so a Stream&
+  // stays valid while a callback dials and the table grows.
+  struct Slot {
+    std::unique_ptr<Stream> stream;
+    std::unique_ptr<Listener> listener;
+  };
+
+  // Issues the next handle: a fresh, empty slot at the end of the table.
+  int new_slot();
+  // The live stream / listener behind `handle`, or null (never issued,
+  // closed, or the other kind). A negative handle casts to a huge index
+  // and fails the bounds check.
+  [[nodiscard]] Stream* stream(int handle) const {
+    const auto h = static_cast<std::size_t>(handle);
+    return h < table_.size() ? table_[h].stream.get() : nullptr;
+  }
+  [[nodiscard]] Listener* listener(int handle) const {
+    const auto h = static_cast<std::size_t>(handle);
+    return h < table_.size() ? table_[h].listener.get() : nullptr;
+  }
   int dial(int listener_handle);
   // Schedules `data` from stream `from` toward its peer.
   void send_segment(Stream& from, std::vector<std::uint8_t> data);
@@ -246,12 +269,13 @@ class SimTransport final : public net::Transport, public EventHandler {
   };
   LossCounters lc_;
 
-  int next_handle_ = 1;
   std::uint64_t next_segment_ = 1;
-  // Ordered maps: kill_all and teardown iterate them, and determinism
-  // must not depend on hash-table layout.
-  std::map<int, Stream> streams_;
-  std::map<int, Listener> listeners_;
+  // The handle table, indexed by handle (slot 0 is never issued).
+  // Handles only grow, so walking it visits handles in increasing order
+  // -- kill_all's victim order is the same on every run -- and an event
+  // naming a torn-down handle finds an empty slot, never a successor.
+  std::vector<Slot> table_ = std::vector<Slot>(1);
+  std::size_t live_streams_ = 0;
   std::unordered_map<int, int> tcp_binds_;  // port -> listener handle
   std::unordered_map<std::string, int> unix_binds_;
   std::unordered_map<std::uint64_t, Segment> segments_;

@@ -191,25 +191,26 @@ TEST(SimTransportTest, OneWayPartitionDownDropsOnlyServerToClient) {
 }
 
 // The conservation identity: every accepted byte has exactly one fate.
+bool conserved(const SimTransport& tr) {
+  const SimTransportStats& st = tr.stats();
+  return st.bytes_accepted ==
+         st.bytes_delivered + st.bytes_blackholed +
+             st.bytes_partitioned_up + st.bytes_partitioned_down +
+             st.bytes_dropped_sieve + st.bytes_dropped_closed +
+             tr.stranded_bytes();
+}
+
 // Exercises delivery, black hole, both partitions, sieve drops, bytes
 // dying at a closed peer, and stranded in-flight bytes.
 TEST(SimTransportTest, ByteConservationIdentityHoldsAcrossFaults) {
   Pipe p;
   p.establish();
-  const auto balanced = [&p] {
-    const SimTransportStats& st = p.tr.stats();
-    return st.bytes_accepted ==
-           st.bytes_delivered + st.bytes_blackholed +
-               st.bytes_partitioned_up + st.bytes_partitioned_down +
-               st.bytes_dropped_sieve + st.bytes_dropped_closed +
-               p.tr.stranded_bytes();
-  };
   char buf[64];
   ASSERT_EQ(p.tr.write(p.client, "hello", 5), 5);
-  EXPECT_TRUE(balanced());  // 5 bytes in flight = stranded
+  EXPECT_TRUE(conserved(p.tr));  // 5 bytes in flight = stranded
   p.q.run_until(p.q.now() + 50 * kMicrosecond);
   ASSERT_EQ(p.tr.read(p.server, buf, sizeof buf), 5);
-  EXPECT_TRUE(balanced());  // delivered
+  EXPECT_TRUE(conserved(p.tr));  // delivered
 
   p.tr.set_black_hole(true);
   ASSERT_EQ(p.tr.write(p.client, "bh", 2), 2);
@@ -220,7 +221,7 @@ TEST(SimTransportTest, ByteConservationIdentityHoldsAcrossFaults) {
   p.tr.set_partition_down(true);
   ASSERT_EQ(p.tr.write(p.server, "dn", 2), 2);
   p.tr.set_partition_down(false);
-  EXPECT_TRUE(balanced());
+  EXPECT_TRUE(conserved(p.tr));
 
   // Sieve drop: a whole frame dies, counted in bytes and records.
   p.tr.set_drop_down_frac(1.0);
@@ -230,14 +231,60 @@ TEST(SimTransportTest, ByteConservationIdentityHoldsAcrossFaults) {
             static_cast<std::int64_t>(frame.size()));
   p.tr.set_drop_down_frac(0.0);
   EXPECT_EQ(p.tr.stats().bytes_dropped_sieve, 5);
-  EXPECT_TRUE(balanced());
+  EXPECT_TRUE(conserved(p.tr));
 
   // Bytes racing a close die at the closed door -- accounted, not lost.
   ASSERT_EQ(p.tr.write(p.client, "late", 4), 4);
   p.tr.close(p.server);
   p.q.run_until(p.q.now() + 50 * kMicrosecond);
   EXPECT_GE(p.tr.stats().bytes_dropped_closed, 4);
-  EXPECT_TRUE(balanced());
+  EXPECT_TRUE(conserved(p.tr));
+}
+
+// Both ends close with bytes in flight both ways, so the pair is erased
+// before its deliveries fire. The stale deliveries must die as named
+// closed-door drops, and must not land in a connection dialed after the
+// teardown: handles are never reused.
+TEST(SimTransportTest, PairTeardownWithBytesInFlightBothWays) {
+  Pipe p;
+  p.establish();
+  EXPECT_EQ(p.tr.num_streams(), 2u);
+  const std::int64_t closed0 = p.tr.stats().bytes_dropped_closed;
+  const std::int64_t delivered0 = p.tr.stats().bytes_delivered;
+  ASSERT_EQ(p.tr.write(p.client, "upstream", 8), 8);
+  ASSERT_EQ(p.tr.write(p.server, "down", 4), 4);
+  EXPECT_EQ(p.tr.stranded_bytes(), 12);
+  EXPECT_TRUE(conserved(p.tr));
+
+  p.tr.close(p.client);
+  EXPECT_TRUE(conserved(p.tr));
+  EXPECT_EQ(p.tr.num_streams(), 2u);  // the server end is still open
+  p.tr.close(p.server);
+  EXPECT_TRUE(conserved(p.tr));
+  EXPECT_EQ(p.tr.num_streams(), 0u);  // pair erased...
+  EXPECT_EQ(p.tr.stranded_bytes(), 12);  // ...its bytes still in flight
+
+  const int c2 = p.tr.connect_tcp("sim", p.port);
+  ASSERT_GT(c2, 0);
+  EXPECT_NE(c2, p.client);
+  EXPECT_NE(c2, p.server);
+  EXPECT_TRUE(conserved(p.tr));
+
+  p.q.run_until(p.q.now() + 50 * kMicrosecond);
+  EXPECT_TRUE(conserved(p.tr));
+  EXPECT_EQ(p.tr.stranded_bytes(), 0);
+  EXPECT_EQ(p.tr.stats().bytes_dropped_closed - closed0, 12);
+  EXPECT_EQ(p.tr.stats().bytes_delivered, delivered0);
+  const int s2 = p.tr.accept(p.listener);
+  ASSERT_GT(s2, 0);
+  EXPECT_NE(s2, p.client);
+  EXPECT_NE(s2, p.server);
+  EXPECT_EQ(p.tr.num_streams(), 2u);
+  char buf[16];
+  EXPECT_EQ(p.tr.read(c2, buf, sizeof buf), -1);
+  EXPECT_EQ(errno, EAGAIN);
+  EXPECT_EQ(p.tr.read(s2, buf, sizeof buf), -1);
+  EXPECT_EQ(errno, EAGAIN);
 }
 
 TEST(SimTransportTest, SieveAttributesDroppedRecordsByType) {
@@ -365,6 +412,34 @@ TEST(ControlPlaneHarnessTest, SameSeedRunsAreBitIdentical) {
   EXPECT_EQ(sa.updates_sent, sb.updates_sent);
   EXPECT_EQ(sa.updates_received, sb.updates_received);
   EXPECT_EQ(sa.events_processed, sb.events_processed);
+}
+
+// SameSeedRunsAreBitIdentical compares two runs of one build, so a
+// transport change that reorders events in both runs would pass it.
+// These constants pin the trajectory itself: a change that moves them
+// must say why.
+TEST(ControlPlaneHarnessTest, CleanTrajectoryIsPinned) {
+  ControlPlaneHarness h(small_cfg(17));
+  const ConvergeStats st = h.run_to_convergence();
+  ASSERT_TRUE(st.converged);
+  EXPECT_EQ(st.trajectory_hash, 0x6348bcacf720acd2ULL);
+  EXPECT_EQ(st.events_processed, 2074u);
+  EXPECT_EQ(st.updates_sent, 2126u);
+  EXPECT_EQ(st.rounds, 122u);
+}
+
+// Same, through a reset storm: kill_all's victim order and the
+// reconnect traffic's stream teardown both feed the trajectory.
+TEST(ControlPlaneHarnessTest, FaultedTrajectoryIsPinned) {
+  ControlPlaneHarness h(small_cfg(17));
+  ASSERT_TRUE(h.run_to_convergence().converged);
+  h.kill_connections();
+  const ConvergeStats st = h.run_to_convergence();
+  ASSERT_TRUE(st.converged);
+  EXPECT_EQ(st.trajectory_hash, 0x44c5cf4e525d3e6cULL);
+  EXPECT_EQ(st.events_processed, 4027u);
+  EXPECT_EQ(st.updates_sent, 4251u);
+  EXPECT_EQ(st.rounds, 273u);
 }
 
 TEST(ControlPlaneHarnessTest, DifferentSeedsDiverge) {

@@ -16,13 +16,20 @@ A metric regresses when it is worse than baseline by more than the
 tolerance band (default 35%, generous because CI runners are noisy).
 Config/count keys (flows, shards, iterations, ...) are ignored.
 
-Gating follows the same rule as the benches' own scaling gates: with
->= 8 hardware threads on the fresh run the script exits non-zero on any
-regression; below that (shared CI runners, laptops) regressions are
-reported as advisory and the exit code stays 0. Baselines are expected
-to be regenerated when the reference hardware changes -- the run
-metadata (git sha, hardware_concurrency) embedded in each file says
-where a baseline came from.
+Deterministic outputs of the virtual-time benches are exact functions of
+(seed, config), identical on every machine, so they gate everywhere:
+sim_* metrics (5% band), *violations counts (zero tolerance) and
+trajectory_hash / campaign_hash (compared as strings). Any of these
+differing from the baseline -- or missing from the fresh file -- exits
+non-zero regardless of --gate-threads or the baseline's hardware.
+
+Wall-clock metrics follow the same rule as the benches' own scaling
+gates: with >= 8 hardware threads on the fresh run the script exits
+non-zero on any regression; below that (shared CI runners, laptops)
+regressions are reported as advisory and the exit code stays 0.
+Baselines are expected to be regenerated when the reference hardware
+changes -- the run metadata (git sha, hardware_concurrency) embedded in
+each file says where a baseline came from.
 """
 
 import argparse
@@ -59,11 +66,26 @@ SIM_TOLERANCE = 0.05
 # below would otherwise drop from tracking).
 VIOLATION_SUFFIX = "violations"
 
+# Fingerprints of a whole virtual-time run: any difference means the
+# trajectory changed. Compared as strings, not as metrics.
+HASH_KEYS = {"trajectory_hash", "campaign_hash"}
+
+
+def is_deterministic(key):
+    """True for metrics that gate on every machine (see module doc)."""
+    return key.startswith(SIM_PREFIX) or key.endswith(VIOLATION_SUFFIX)
+
+
+def is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
 
 def metric_direction(key):
     """Returns +1 (higher better), -1 (lower better) or 0 (ignore)."""
     if key in IGNORED_KEYS:
         return 0
+    if key.endswith(VIOLATION_SUFFIX):
+        return -1
     for suffix in HIGHER_SUFFIXES:
         if key.endswith(suffix):
             return +1
@@ -122,19 +144,34 @@ def walk(node, path=""):
 
 
 def compare_file(name, baseline, fresh, tolerance):
+    """Returns (deterministic regressions, wall-clock regressions,
+    improvements, skipped count)."""
     base_leaves = {p: (k, v) for p, k, v in walk(baseline)}
     fresh_leaves = {p: v for p, _, v in walk(fresh)}
-    regressions, improvements, skipped = [], [], 0
+    det_regressions, wall_regressions, improvements = [], [], []
+    skipped = 0
     for path, (key, base_val) in sorted(base_leaves.items()):
-        direction = metric_direction(key)
-        if direction == 0 or not isinstance(base_val, (int, float)):
+        fresh_val = fresh_leaves.get(path)
+        if key in HASH_KEYS:
+            if str(fresh_val) != str(base_val):
+                det_regressions.append(
+                    f"  {name}:{path}: baseline {base_val} -> fresh "
+                    f"{fresh_val} (run fingerprint changed)"
+                )
             continue
-        if isinstance(base_val, bool):
+        direction = metric_direction(key)
+        if direction == 0 or not is_number(base_val):
+            continue
+        deterministic = is_deterministic(key)
+        if deterministic and not is_number(fresh_val):
+            det_regressions.append(
+                f"  {name}:{path}: baseline {base_val:.6g} -> fresh "
+                f"{fresh_val} (deterministic output missing)"
+            )
             continue
         if key.endswith(VIOLATION_SUFFIX):
-            fresh_val = fresh_leaves.get(path)
-            if isinstance(fresh_val, (int, float)) and fresh_val > base_val:
-                regressions.append(
+            if fresh_val > base_val:
+                det_regressions.append(
                     f"  {name}:{path}: baseline {base_val:.6g} -> fresh "
                     f"{fresh_val:.6g} (violation count increased; zero "
                     "tolerance)"
@@ -142,10 +179,7 @@ def compare_file(name, baseline, fresh, tolerance):
             continue
         if base_val <= 0:
             continue
-        fresh_val = fresh_leaves.get(path)
-        if not isinstance(fresh_val, (int, float)) or isinstance(
-            fresh_val, bool
-        ):
+        if not is_number(fresh_val):
             skipped += 1
             continue
         ratio = fresh_val / base_val
@@ -158,10 +192,12 @@ def compare_file(name, baseline, fresh, tolerance):
         )
         tol = metric_tolerance(key, tolerance)
         if goodness < 1.0 - tol:
-            regressions.append(line)
+            (det_regressions if deterministic else wall_regressions).append(
+                line
+            )
         elif goodness > 1.0 + tol:
             improvements.append(line)
-    return regressions, improvements, skipped
+    return det_regressions, wall_regressions, improvements, skipped
 
 
 def main():
@@ -193,7 +229,7 @@ def main():
         print(f"no baseline dir {args.baseline_dir}; nothing to diff")
         return 0
 
-    all_regressions, all_improvements = [], []
+    det_regressions, wall_regressions, all_improvements = [], [], []
     fresh_threads = 0
     baseline_threads = 0
     compared = 0
@@ -219,22 +255,32 @@ def main():
             baseline.get("hardware_concurrency", 0),
             baseline.get("run", {}).get("hardware_concurrency", 0),
         )
-        regs, imps, skipped = compare_file(
+        dets, regs, imps, skipped = compare_file(
             fname, baseline, fresh, args.tolerance
         )
-        all_regressions += regs
+        det_regressions += dets
+        wall_regressions += regs
         all_improvements += imps
         print(
-            f"  {fname}: {len(regs)} regression(s), "
+            f"  {fname}: {len(dets)} deterministic change(s), "
+            f"{len(regs)} wall-clock regression(s), "
             f"{len(imps)} improvement(s), {skipped} metric(s) skipped"
         )
 
     if all_improvements:
         print("\nimprovements beyond the tolerance band:")
         print("\n".join(all_improvements))
-    if all_regressions:
-        print("\nregressions beyond the tolerance band:")
-        print("\n".join(all_regressions))
+    if wall_regressions:
+        print("\nwall-clock regressions beyond the tolerance band:")
+        print("\n".join(wall_regressions))
+    if det_regressions:
+        print("\ndeterministic outputs differing from the baseline:")
+        print("\n".join(det_regressions))
+        print(
+            f"\nFAIL: {len(det_regressions)} deterministic output(s) "
+            "changed; these gate on every machine"
+        )
+        return 1
 
     # Absolute timings only gate against baselines from the same class of
     # machine: a >= 8-thread runner diffing against a baseline recorded
@@ -250,14 +296,14 @@ def main():
     gated = args.strict or (
         fresh_threads >= args.gate_threads and same_hardware
     )
-    if all_regressions and gated:
+    if wall_regressions and gated:
         print(
-            f"\nFAIL: {len(all_regressions)} regression(s) at "
+            f"\nFAIL: {len(wall_regressions)} regression(s) at "
             f"{fresh_threads} hardware threads (gate >= "
             f"{args.gate_threads})"
         )
         return 1
-    if all_regressions:
+    if wall_regressions:
         reason = (
             f"only {fresh_threads} hardware threads "
             f"(< {args.gate_threads})"
@@ -265,7 +311,7 @@ def main():
             else "baseline recorded on different hardware"
         )
         print(
-            f"\nADVISORY: {len(all_regressions)} regression(s) "
+            f"\nADVISORY: {len(wall_regressions)} regression(s) "
             f"({reason}); not failing the build"
         )
     elif compared:
