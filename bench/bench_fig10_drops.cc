@@ -7,6 +7,7 @@
 #include <cstdio>
 
 #include "bench_util.h"
+#include "sim_cost.h"
 #include "transport/experiment.h"
 
 int main(int argc, char** argv) {
@@ -34,6 +35,7 @@ int main(int argc, char** argv) {
       cfg.scheme = s;
       cfg.duration = from_ms(dur_ms);
       const ExpResult r = run_experiment(cfg);
+      print_sim_cost(r);
       const double frac =
           r.dropped_gbps / std::max(1e-9, r.goodput_gbps + r.dropped_gbps);
       table.add_row({scheme_name(s), fmt("%.1f", load),

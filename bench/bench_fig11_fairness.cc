@@ -8,6 +8,7 @@
 #include <cstdio>
 
 #include "bench_util.h"
+#include "sim_cost.h"
 #include "transport/experiment.h"
 
 int main(int argc, char** argv) {
@@ -34,9 +35,11 @@ int main(int argc, char** argv) {
     cfg.duration = from_ms(dur_ms);
     cfg.scheme = Scheme::kFlowtune;
     const ExpResult ft_r = run_experiment(cfg);
+    print_sim_cost(ft_r);
     for (const Scheme s : others) {
       cfg.scheme = s;
       const ExpResult r = run_experiment(cfg);
+      print_sim_cost(r);
       table.add_row({scheme_name(s), fmt("%.1f", load),
                      fmt("%+.2f", r.fairness_score - ft_r.fairness_score)});
     }

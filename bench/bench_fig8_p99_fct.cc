@@ -11,6 +11,7 @@
 #include <map>
 
 #include "bench_util.h"
+#include "sim_cost.h"
 #include "transport/experiment.h"
 
 int main(int argc, char** argv) {
@@ -47,10 +48,12 @@ int main(int argc, char** argv) {
     cfg.duration = from_ms(full ? 2 * dur_ms : dur_ms);
     cfg.scheme = Scheme::kFlowtune;
     flowtune.emplace(load, run_experiment(cfg));
+    print_sim_cost(flowtune.at(load));
     for (const Scheme s : baselines) {
       cfg.scheme = s;
-      results.emplace(std::make_pair(static_cast<int>(s), load),
-                      run_experiment(cfg));
+      const auto key = std::make_pair(static_cast<int>(s), load);
+      results.emplace(key, run_experiment(cfg));
+      print_sim_cost(results.at(key));
     }
   }
 

@@ -8,6 +8,7 @@
 #include <cstdio>
 
 #include "bench_util.h"
+#include "sim_cost.h"
 #include "transport/experiment.h"
 
 int main(int argc, char** argv) {
@@ -35,6 +36,7 @@ int main(int argc, char** argv) {
       cfg.scheme = s;
       cfg.duration = from_ms(dur_ms);
       const ExpResult r = run_experiment(cfg);
+      print_sim_cost(r);
       if (s == Scheme::kFlowtune && load == 0.8) {
         ft_4hop_at_08 = r.p99_queue_4hop_us;
       }

@@ -6,6 +6,7 @@ Link::Link(EventQueue& events, LinkId id, double capacity_bps,
            Time prop_delay, std::unique_ptr<QueueDisc> queue,
            PacketPool& pool, std::function<void(Packet*)> deliver)
     : events_(events),
+      arrivals_(events.lane(prop_delay)),
       id_(id),
       capacity_bps_(capacity_bps),
       prop_delay_(prop_delay),
@@ -39,7 +40,7 @@ void Link::on_event(std::uint32_t tag, std::uint64_t arg) {
       stats_.tx_packets++;
       stats_.tx_bytes += p->wire_bytes;
       // Propagation happens in parallel with the next serialization.
-      events_.schedule(events_.now() + prop_delay_, this, kArrive, arg);
+      arrivals_.schedule(this, kArrive, arg);
       start_tx();
       break;
     case kArrive:

@@ -1,6 +1,7 @@
 // A unidirectional link: queue discipline + serialization at the link
 // rate + propagation delay. The link is the DropSink for its queue and
-// owns all drop accounting.
+// owns all drop accounting. Arrivals ride the event queue's lane for the
+// propagation delay, so packets in flight cost no heap operation.
 #pragma once
 
 #include <functional>
@@ -63,6 +64,7 @@ class Link : public EventHandler, public DropSink {
   void start_tx();
 
   EventQueue& events_;
+  EventQueue::Lane& arrivals_;
   LinkId id_;
   double capacity_bps_;
   Time prop_delay_;

@@ -8,7 +8,7 @@ Network::Network(EventQueue& events, PacketPool& pool,
     : events_(events),
       pool_(pool),
       clos_(clos),
-      host_delay_(clos.config().host_delay) {
+      host_lane_(events.lane(clos.config().host_delay)) {
   links_.reserve(clos.graph().num_links());
   for (const topo::Link& l : clos.graph().links()) {
     links_.push_back(std::make_unique<Link>(
@@ -27,16 +27,15 @@ void Network::send(Packet* p) {
   FT_CHECK(p->path_len > 0);
   FT_CHECK(deliver_ != nullptr);
   if (tx_observer_) tx_observer_(*p);
-  events_.schedule(events_.now() + host_delay_, this, kHostEgress,
-                   reinterpret_cast<std::uint64_t>(p));
+  host_lane_.schedule(this, kHostEgress, reinterpret_cast<std::uint64_t>(p));
 }
 
 void Network::forward(Packet* p) {
   ++p->hop;
   if (p->at_last_hop()) {
     // Destination host: ingress processing delay, then the transport.
-    events_.schedule(events_.now() + host_delay_, this, kHostIngress,
-                     reinterpret_cast<std::uint64_t>(p));
+    host_lane_.schedule(this, kHostIngress,
+                        reinterpret_cast<std::uint64_t>(p));
     return;
   }
   links_[p->path[p->hop].value()]->send(p);

@@ -67,10 +67,10 @@ class Network : public EventHandler {
   EventQueue& events_;
   PacketPool& pool_;
   const topo::ClosTopology& clos_;
+  EventQueue::Lane& host_lane_;  // host egress and ingress delay
   std::vector<std::unique_ptr<Link>> links_;
   std::function<void(Packet*)> deliver_;
   std::function<void(const Packet&)> tx_observer_;
-  Time host_delay_;
 };
 
 }  // namespace ft::sim

@@ -2,8 +2,11 @@
 //
 // One packet struct serves every transport (fields unused by a scheme stay
 // zero) -- the simulator moves pointers, never copies. Packets are pool-
-// allocated and recycled; PacketPool asserts balance at destruction so
-// leaks in transport logic fail tests loudly.
+// allocated and recycled; PacketPool counts the packets in use
+// (`outstanding()`) but checks nothing at destruction, since
+// run_experiment returns with packets still in flight. The leak check is
+// TcpEdgeTest.NoPacketLeaksAfterQuiescence, which drains two flows and
+// expects zero outstanding.
 #pragma once
 
 #include <array>

@@ -352,6 +352,8 @@ ExpResult run_experiment(const ExpConfig& cfg) {
   r.from_allocator_gbps =
       static_cast<double>(from_alloc1 - from_alloc0) * 8.0 / dur_sec / 1e9;
   r.allocator_updates = updates1 - updates0;
+  r.events = s.events.processed();
+  r.peak_pending_events = s.events.peak_pending();
   return r;
 }
 

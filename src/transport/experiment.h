@@ -80,6 +80,10 @@ struct ExpResult {
   double to_allocator_gbps = 0.0;
   double from_allocator_gbps = 0.0;
   std::uint64_t allocator_updates = 0;
+  // Packet-sim cost of the whole run (warm-up, window and drain): event
+  // queue entries popped, and the most ever pending at once.
+  std::uint64_t events = 0;
+  std::uint64_t peak_pending_events = 0;
 };
 
 [[nodiscard]] ExpResult run_experiment(const ExpConfig& cfg);

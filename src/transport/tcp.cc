@@ -13,7 +13,8 @@ TcpFlow::TcpFlow(FlowRegistry& reg, std::int32_t src_host,
       dst_host_(dst_host),
       fwd_(fwd),
       rev_(rev),
-      cfg_(cfg) {
+      cfg_(cfg),
+      rto_timer_(net_.events(), this, kRtoTimer) {
   flow_id_ = reg_.add(this);
   const double iw = cfg_.fixed_window_pkts > 0 ? cfg_.fixed_window_pkts
                                                : cfg_.init_cwnd_pkts;
@@ -38,8 +39,7 @@ void TcpFlow::app_abort() {
   if (snd_una_ >= app_bytes_) {
     // Nothing in flight: complete immediately.
     complete_ = true;
-    ++rto_gen_;
-    rto_pending_ = false;
+    rto_timer_.cancel();
     if (on_complete) on_complete();
   }
 }
@@ -102,13 +102,8 @@ void TcpFlow::send_segment(std::int64_t seq, bool is_retx) {
     timed_seq_ = seq;
     timed_at_ = events().now();
   }
-  if (!rto_pending_) schedule_rto();
+  if (!rto_timer_.armed()) rto_timer_.arm(events().now() + rto_);
   net_.send(p);
-}
-
-void TcpFlow::schedule_rto() {
-  rto_pending_ = true;
-  events().schedule(events().now() + rto_, this, kRtoTimer, ++rto_gen_);
 }
 
 void TcpFlow::stamp_data(sim::Packet&) {}
@@ -211,14 +206,15 @@ void TcpFlow::handle_ack(sim::Packet* p) {
       ca_increase(acked);
     }
     // Fresh RTO for remaining flight.
-    rto_gen_++;  // cancel outstanding
-    rto_pending_ = false;
-    if (flight() > 0 || snd_nxt_ < stream_end()) schedule_rto();
+    if (flight() > 0 || snd_nxt_ < stream_end()) {
+      rto_timer_.arm(events().now() + rto_);
+    } else {
+      rto_timer_.cancel();
+    }
 
     if (snd_una_ >= stream_end() && close_requested_ && !complete_) {
       complete_ = true;
-      rto_gen_++;  // cancel timers
-      rto_pending_ = false;
+      rto_timer_.cancel();
       if (on_complete) on_complete();
       net_.pool().free(p);
       return;
@@ -289,8 +285,6 @@ void TcpFlow::on_rto() {
 void TcpFlow::on_event(std::uint32_t tag, std::uint64_t arg) {
   switch (tag) {
     case kRtoTimer: {
-      if (arg != rto_gen_ || complete_) return;  // stale or done
-      rto_pending_ = false;
       if (flight() <= 0) return;
       ++timeout_count_;
       on_loss_event(/*timeout=*/true);
@@ -299,7 +293,7 @@ void TcpFlow::on_event(std::uint32_t tag, std::uint64_t arg) {
       rto_ = std::min(rto_ * 2, cfg_.max_rto);  // exponential backoff
       timed_seq_ = -1;
       on_rto();
-      schedule_rto();
+      rto_timer_.arm(events().now() + rto_);
       try_send();
       break;
     }

@@ -96,7 +96,6 @@ class TcpFlow : public Flow, public sim::EventHandler {
   void try_send();
   void send_segment(std::int64_t seq, bool is_retx);
   void enter_recovery();
-  void schedule_rto();
   void handle_ack(sim::Packet* p);
   void handle_data(sim::Packet* p);
   [[nodiscard]] std::int64_t flight() const { return snd_nxt_ - snd_una_; }
@@ -135,8 +134,7 @@ class TcpFlow : public Flow, public sim::EventHandler {
   Time rto_;
   std::int64_t timed_seq_ = -1;
   Time timed_at_ = 0;
-  std::uint64_t rto_gen_ = 0;
-  bool rto_pending_ = false;
+  sim::LazyTimer rto_timer_;
 
   // Pacing.
   double pace_rate_bps_ = 0.0;

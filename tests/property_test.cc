@@ -1,11 +1,15 @@
 // Property-based tests (parameterized sweeps) on core invariants:
 // optimality across utility families, scale invariance, normalization
-// feasibility, codec error bounds, and event-ordering determinism.
+// feasibility, codec error bounds, event-ordering determinism, and the
+// event queue's lane/heap/lazy-timer merge order.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
+#include <memory>
+#include <queue>
 #include <span>
 #include <vector>
 
@@ -429,6 +433,270 @@ TEST_P(EventOrderP, RandomScheduleProcessesInTimeOrder) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EventOrderP,
                          ::testing::Values(7, 8, 9, 10));
+
+// --- Merge order of heap events, fixed-delay lanes and lazy timers ------
+
+constexpr std::uint32_t kHeapTag = 0;
+constexpr std::uint32_t kLaneTag = 100;   // + lane index
+constexpr std::uint32_t kTimerTag = 200;  // + timer index
+constexpr Time kLaneDelays[] = {0, 3, 11};
+constexpr std::size_t kNumLanes = std::size(kLaneDelays);
+constexpr std::size_t kNumTimers = 3;
+// Offsets stay this small so times collide across all three sources.
+constexpr std::uint64_t kSpread = 40;
+
+using FireFn = std::function<void(std::uint32_t, std::uint64_t)>;
+
+struct Fired {
+  Time at;
+  std::uint32_t tag;
+  std::uint64_t arg;
+  bool operator==(const Fired&) const = default;
+};
+
+// The queue under test: heap events, lanes and LazyTimers.
+class LazyModel : public EventHandler {
+ public:
+  explicit LazyModel(FireFn fire) : fire_(std::move(fire)) {
+    for (const Time d : kLaneDelays) lanes_.push_back(&q_.lane(d));
+    for (std::size_t i = 0; i < kNumTimers; ++i) {
+      timers_.push_back(std::make_unique<LazyTimer>(
+          q_, this, kTimerTag + static_cast<std::uint32_t>(i)));
+    }
+  }
+  void on_event(std::uint32_t tag, std::uint64_t arg) override {
+    fire_(tag, arg);
+  }
+  Time now() const { return q_.now(); }
+  void schedule(Time at, std::uint64_t arg) {
+    q_.schedule(at, this, kHeapTag, arg);
+  }
+  void lane_schedule(std::size_t i, std::uint64_t arg) {
+    lanes_[i]->schedule(this, kLaneTag + static_cast<std::uint32_t>(i), arg);
+  }
+  void arm(std::size_t i, Time at) { timers_[i]->arm(at); }
+  void cancel(std::size_t i) { timers_[i]->cancel(); }
+  void run_until(Time h) { q_.run_until(h); }
+  bool step() { return q_.step(); }
+  std::size_t pending() const { return q_.pending(); }
+  bool empty() const { return q_.empty(); }
+  std::size_t peak_pending() const { return q_.peak_pending(); }
+
+ private:
+  FireFn fire_;
+  EventQueue q_;
+  std::vector<EventQueue::Lane*> lanes_;
+  std::vector<std::unique_ptr<LazyTimer>> timers_;
+};
+
+// The reference: the single-heap semantics the queue had before lanes
+// and lazy timers. Every lane event and every timer arm goes eagerly
+// onto one std::priority_queue ordered by (time, seq), and timers ignore
+// superseded arms by generation.
+class EagerModel {
+ public:
+  explicit EagerModel(FireFn fire) : fire_(std::move(fire)) {}
+  Time now() const { return now_; }
+  void schedule(Time at, std::uint64_t arg) {
+    push(at, kHeapTag, arg, 0);
+    ++plain_;
+  }
+  void lane_schedule(std::size_t i, std::uint64_t arg) {
+    push(now_ + kLaneDelays[i], kLaneTag + static_cast<std::uint32_t>(i),
+         arg, 0);
+    ++plain_;
+  }
+  void arm(std::size_t i, Time at) {
+    armed_[i] = true;
+    push(at, kTimerTag + static_cast<std::uint32_t>(i), 0, ++gen_[i]);
+  }
+  void cancel(std::size_t i) {
+    armed_[i] = false;
+    ++gen_[i];
+  }
+  void run_until(Time h) {
+    while (!heap_.empty() && heap_.top().at <= h) step();
+    now_ = h;
+  }
+  bool step() {
+    if (heap_.empty()) return false;
+    const Ev ev = heap_.top();
+    heap_.pop();
+    now_ = ev.at;
+    if (ev.tag >= kTimerTag) {
+      const std::size_t i = ev.tag - kTimerTag;
+      if (ev.gen != gen_[i] || !armed_[i]) return true;  // stale arm
+      armed_[i] = false;
+    } else {
+      --plain_;
+    }
+    fire_(ev.tag, ev.arg);
+    return true;
+  }
+  std::size_t pending() const { return heap_.size(); }
+  bool empty() const { return heap_.empty(); }
+  // Entries that will still reach a handler: every heap or lane event
+  // and the current arm of each armed timer.
+  std::size_t live() const {
+    return plain_ + static_cast<std::size_t>(
+                        std::count(armed_, armed_ + kNumTimers, true));
+  }
+
+ private:
+  struct Ev {
+    Time at;
+    std::uint64_t seq;
+    std::uint32_t tag;
+    std::uint64_t arg;
+    std::uint64_t gen;
+  };
+  struct Later {
+    bool operator()(const Ev& a, const Ev& b) const {
+      return a.at != b.at ? a.at > b.at : a.seq > b.seq;
+    }
+  };
+  void push(Time at, std::uint32_t tag, std::uint64_t arg,
+            std::uint64_t gen) {
+    FT_CHECK(at >= now_);
+    heap_.push(Ev{at, seq_++, tag, arg, gen});
+  }
+
+  FireFn fire_;
+  std::priority_queue<Ev, std::vector<Ev>, Later> heap_;
+  Time now_ = 0;
+  std::uint64_t seq_ = 0;
+  std::size_t plain_ = 0;
+  std::uint64_t gen_[kNumTimers] = {};
+  bool armed_[kNumTimers] = {};
+};
+
+// Records firings and reacts to each with random schedules, lane
+// events, timer arms (later or earlier than a queued one) and cancels,
+// drawn from its own Rng: two scripts with one seed stay in lockstep as
+// long as their queues fire identically.
+template <class Model>
+class Script {
+ public:
+  Script(std::uint64_t seed, bool timers)
+      : rng_(seed),
+        timers_(timers),
+        model_([this](std::uint32_t tag, std::uint64_t arg) {
+          fired_.push_back(Fired{model_.now(), tag, arg});
+          for (std::uint64_t n = rng_.below(3); n > 0; --n) act();
+        }) {}
+
+  void act() {
+    if (budget_ == 0) return;
+    --budget_;
+    const std::uint64_t kind = rng_.below(timers_ ? 10 : 7);
+    if (kind < 3) {
+      model_.schedule(model_.now() + static_cast<Time>(rng_.below(kSpread)),
+                      next_id_++);
+    } else if (kind < 7) {
+      model_.lane_schedule(rng_.below(kNumLanes), next_id_++);
+    } else {
+      const std::size_t i = rng_.below(kNumTimers);
+      if (rng_.below(4) == 0) {
+        model_.cancel(i);
+      } else {
+        model_.arm(i, model_.now() + static_cast<Time>(rng_.below(kSpread)));
+      }
+    }
+  }
+
+  // Steps until a handler runs or the queue drains; true if one ran.
+  bool step_visible() {
+    const std::size_t before = fired_.size();
+    while (fired_.size() == before && model_.step()) {
+    }
+    return fired_.size() > before;
+  }
+
+  Model& model() { return model_; }
+  const std::vector<Fired>& fired() const { return fired_; }
+
+ private:
+  Rng rng_;
+  bool timers_;
+  std::uint64_t budget_ = 6000;
+  std::uint64_t next_id_ = 1;
+  std::vector<Fired> fired_;
+  Model model_;
+};
+
+struct MergeCase {
+  std::uint64_t seed;
+  bool timers;
+};
+
+void PrintTo(const MergeCase& c, std::ostream* os) {
+  *os << "seed " << c.seed << (c.timers ? " with timers" : " no timers");
+}
+
+class EventMergeP : public ::testing::TestWithParam<MergeCase> {};
+
+TEST_P(EventMergeP, MatchesSingleHeapReference) {
+  const MergeCase c = GetParam();
+  Script<LazyModel> lazy(c.seed, c.timers);
+  Script<EagerModel> eager(c.seed, c.timers);
+  Rng outer(c.seed ^ 0xabcdefULL);  // choices between rounds
+  const auto check = [&](int round) {
+    const std::vector<Fired>& got = lazy.fired();
+    const std::vector<Fired>& want = eager.fired();
+    ASSERT_EQ(got.size(), want.size()) << "round " << round;
+    const auto diff = std::mismatch(got.begin(), got.end(), want.begin());
+    ASSERT_TRUE(diff.first == got.end())
+        << "firing " << (diff.first - got.begin()) << " differs, round "
+        << round;
+    ASSERT_EQ(lazy.model().now(), eager.model().now()) << "round " << round;
+    const std::size_t p = lazy.model().pending();
+    ASSERT_LE(p, lazy.model().peak_pending());
+    if (!c.timers) {
+      ASSERT_EQ(p, eager.model().pending()) << "round " << round;
+      ASSERT_EQ(lazy.model().empty(), eager.model().empty());
+    } else {
+      // Lazy timers hold a subset of the eager arms (same time and rank)
+      // that still covers every arm that will fire.
+      ASSERT_LE(p, eager.model().pending()) << "round " << round;
+      ASSERT_GE(p, eager.model().live()) << "round " << round;
+      if (eager.model().empty()) {
+        ASSERT_TRUE(lazy.model().empty());
+      }
+      ASSERT_EQ(lazy.model().empty(), p == 0);
+    }
+  };
+  for (int round = 0; round < 4000; ++round) {
+    for (std::uint64_t n = outer.below(4); n > 0; --n) {
+      lazy.act();
+      eager.act();
+    }
+    const std::uint64_t mode = outer.below(3);
+    if (mode == 0) {
+      const Time h =
+          lazy.model().now() + static_cast<Time>(outer.below(kSpread));
+      lazy.model().run_until(h);
+      eager.model().run_until(h);
+    } else if (!c.timers) {
+      ASSERT_EQ(lazy.model().step(), eager.model().step()) << round;
+    } else {
+      ASSERT_EQ(lazy.step_visible(), eager.step_visible()) << round;
+    }
+    check(round);
+    if (HasFatalFailure()) return;
+  }
+  lazy.model().run_until(kTimeNever - 1);
+  eager.model().run_until(kTimeNever - 1);
+  check(-1);
+  EXPECT_TRUE(lazy.model().empty());
+  EXPECT_FALSE(lazy.model().step());
+  EXPECT_GT(lazy.fired().size(), 3000u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, EventMergeP,
+    ::testing::Values(MergeCase{1, false}, MergeCase{2, false},
+                      MergeCase{3, true}, MergeCase{4, true},
+                      MergeCase{5, true}, MergeCase{6, true}));
 
 }  // namespace
 }  // namespace ft::sim

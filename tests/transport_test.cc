@@ -3,6 +3,7 @@
 // priority behaviour, XCP convergence, and the Flowtune control plane.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <memory>
 
 #include "common/ratecode.h"
@@ -485,23 +486,28 @@ TEST(AllocatorAppTest, WeightedFlowsGetWeightedRates) {
   EXPECT_NEAR(f2->pacing_rate(), 3 * total / 4, total / 4 * 0.05);
 }
 
+// A small six-scheme run: 2x4 hosts, Web load 0.4, 17 ms of virtual time.
+ExpConfig smoke_config(Scheme scheme) {
+  ExpConfig cfg;
+  cfg.topo.racks = 2;
+  cfg.topo.servers_per_rack = 4;
+  cfg.topo.spines = 2;
+  cfg.topo.fabric_link_bps = 20e9;
+  cfg.traffic.load = 0.4;
+  cfg.traffic.workload = wl::Workload::kWeb;
+  cfg.traffic.seed = 5;
+  cfg.scheme = scheme;
+  cfg.warmup = from_ms(1);
+  cfg.duration = from_ms(8);
+  cfg.drain = from_ms(8);
+  return cfg;
+}
+
 TEST(ExperimentTest, SmokeAllSchemes) {
   for (const Scheme scheme :
        {Scheme::kFlowtune, Scheme::kDctcp, Scheme::kPfabric,
         Scheme::kSfqCodel, Scheme::kXcp, Scheme::kTcp}) {
-    ExpConfig cfg;
-    cfg.topo.racks = 2;
-    cfg.topo.servers_per_rack = 4;
-    cfg.topo.spines = 2;
-    cfg.topo.fabric_link_bps = 20e9;
-    cfg.traffic.load = 0.4;
-    cfg.traffic.workload = wl::Workload::kWeb;
-    cfg.traffic.seed = 5;
-    cfg.scheme = scheme;
-    cfg.warmup = from_ms(1);
-    cfg.duration = from_ms(8);
-    cfg.drain = from_ms(8);
-    const ExpResult r = run_experiment(cfg);
+    const ExpResult r = run_experiment(smoke_config(scheme));
     EXPECT_GT(r.flows_started, 50u) << scheme_name(scheme);
     EXPECT_GT(r.flows_completed, 0.8 * static_cast<double>(r.flows_started))
         << scheme_name(scheme);
@@ -510,6 +516,72 @@ TEST(ExperimentTest, SmokeAllSchemes) {
       EXPECT_GT(r.from_allocator_gbps, 0.0);
       EXPECT_GT(r.to_allocator_gbps, 0.0);
     }
+  }
+}
+
+// FNV-1a over the bit patterns of every ExpResult field that
+// SmokeOutputsArePinned does not compare on its own.
+std::uint64_t result_hash(const ExpResult& r) {
+  std::uint64_t h = 1469598103934665603ULL;  // FNV-1a offset basis
+  const auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 1099511628211ULL;  // FNV-1a prime
+    }
+  };
+  const auto mix_double = [&mix](double d) {
+    mix(std::bit_cast<std::uint64_t>(d));
+  };
+  mix_double(r.load);
+  for (const BucketResult& b : r.buckets) {
+    mix_double(b.p99_norm_fct);
+    mix_double(b.p50_norm_fct);
+    mix(b.count);
+  }
+  mix_double(r.fairness_score);
+  mix_double(r.p99_queue_2hop_us);
+  mix_double(r.p99_queue_4hop_us);
+  mix_double(r.dropped_gbps);
+  mix_double(r.goodput_gbps);
+  mix(r.flows_unfinished);
+  mix_double(r.mean_norm_fct);
+  mix_double(r.to_allocator_gbps);
+  mix_double(r.from_allocator_gbps);
+  return h;
+}
+
+// Exact packet-sim outputs of the smoke config. The counts and hashes
+// were recorded with a plain single-heap event queue; lanes, lazy timers
+// and the 4-ary heaps must keep its (time, seq) event order and so every
+// output bit. `events` and `peak_pending_events` pin the simulator's
+// cost, which moves only when the queue's entries do.
+TEST(ExperimentTest, SmokeOutputsArePinned) {
+  struct Pin {
+    Scheme scheme;
+    std::size_t started;
+    std::size_t completed;
+    std::uint64_t updates;
+    std::uint64_t hash;
+    std::uint64_t events;
+    std::uint64_t peak_pending;
+  };
+  const Pin pins[] = {
+      {Scheme::kFlowtune, 664, 601, 4600, 0x0846c6b4eb2ee06eULL, 538529, 237},
+      {Scheme::kDctcp, 664, 601, 0, 0xed7a86b91399dbc0ULL, 413325, 217},
+      {Scheme::kPfabric, 664, 599, 0, 0x436409a949e18125ULL, 372992, 117},
+      {Scheme::kSfqCodel, 664, 599, 0, 0x88eb26fcd5228108ULL, 404079, 516},
+      {Scheme::kXcp, 664, 601, 0, 0xb9defe181342245bULL, 413304, 201},
+      {Scheme::kTcp, 664, 600, 0, 0x8782a69e982a35eeULL, 369673, 265},
+  };
+  for (const Pin& pin : pins) {
+    const ExpResult r = run_experiment(smoke_config(pin.scheme));
+    const char* name = scheme_name(pin.scheme);
+    EXPECT_EQ(r.flows_started, pin.started) << name;
+    EXPECT_EQ(r.flows_completed, pin.completed) << name;
+    EXPECT_EQ(r.allocator_updates, pin.updates) << name;
+    EXPECT_EQ(result_hash(r), pin.hash) << name;
+    EXPECT_EQ(r.events, pin.events) << name;
+    EXPECT_EQ(r.peak_pending_events, pin.peak_pending) << name;
   }
 }
 
