@@ -79,10 +79,8 @@ struct Instance {
           cfg.racks = servers / 16;
           cfg.spines = 4;
           return topo::ClosTopology(cfg);
-        }()) {
-    for (const auto& l : clos.graph().links()) {
-      caps.push_back(l.capacity_bps);
-    }
+        }()),
+        caps(clos.graph().capacities()) {
     const auto part = topo::BlockPartition::make(clos, blocks);
     Rng rng(1);
     const auto hosts = static_cast<std::uint64_t>(clos.num_hosts());

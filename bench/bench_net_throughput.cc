@@ -32,11 +32,12 @@
 #include "core/backend.h"
 #include "net/client.h"
 #include "net/epoll_loop.h"
-#include "net/faultjail.h"
 #include "net/server.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/stats_socket.h"
+#include "sim/event_queue.h"
+#include "sim/sim_transport.h"
 #include "topo/clos.h"
 #include "topo/partition.h"
 
@@ -44,25 +45,19 @@ namespace {
 
 using namespace ft;
 
-std::vector<double> caps_of(const topo::ClosTopology& clos) {
-  std::vector<double> caps;
-  for (const auto& l : clos.graph().links()) caps.push_back(l.capacity_bps);
-  return caps;
-}
-
 core::Allocator make_allocator(const topo::ClosTopology& clos,
                                int alloc_threads, bool pin_cores,
                                obs::MetricsRegistry* reg = nullptr) {
   core::AllocatorConfig acfg;
   acfg.metrics = reg;
   if (alloc_threads <= 0) {
-    return core::Allocator(caps_of(clos), acfg);
+    return core::Allocator(clos.graph().capacities(), acfg);
   }
   core::ParallelConfig pcfg;
   pcfg.num_threads = alloc_threads;
   pcfg.pin.enable = pin_cores;
   return core::Allocator(
-      caps_of(clos), acfg,
+      clos.graph().capacities(), acfg,
       core::parallel_backend(
           topo::BlockPartition::make(
               clos, topo::BlockPartition::default_blocks(clos)),
@@ -369,7 +364,8 @@ KillRestartResult run_kill_restart_drill(const topo::ClosTopology& clos,
   net::EpollLoop loop;
   core::AllocatorConfig acfg0;
   acfg0.threshold = 0.0;  // re-emit every round: convergence observable
-  auto alloc = std::make_unique<core::Allocator>(caps_of(clos), acfg0);
+  auto alloc =
+      std::make_unique<core::Allocator>(clos.graph().capacities(), acfg0);
   net::ServerConfig scfg;
   scfg.tcp_port = 0;
   scfg.iteration_period_us = 0;  // rounds driven by the drill loop
@@ -422,7 +418,8 @@ KillRestartResult run_kill_restart_drill(const topo::ClosTopology& clos,
 
   const std::int64_t t_kill = net::EpollLoop::now_us();
   svc.reset();
-  alloc = std::make_unique<core::Allocator>(caps_of(clos), acfg0);
+  alloc =
+      std::make_unique<core::Allocator>(clos.graph().capacities(), acfg0);
   scfg.tcp_port = port;  // warm restart: same endpoint, zero state
   svc = std::make_unique<net::AllocatorService>(loop, *alloc, clos, scfg);
 
@@ -481,12 +478,13 @@ KillRestartResult run_kill_restart_drill(const topo::ClosTopology& clos,
   return r;
 }
 
-// Lease drill: one agent behind the FaultJail with >= 50% of
-// service->agent frames dropped. Once the allocation settles only
-// heartbeats re-arm the lease, so drop streaks expire it: the agent
-// degrades and decays its rates toward the fallback. The drill reports
-// how often leases expired and how quickly the agent re-armed once the
-// drops stopped.
+// Lease drill, on virtual time: the service and one agent on a
+// SimTransport that drops >= 50% of service->agent frames (seeded,
+// whole frames). Once the allocation settles only heartbeats re-arm
+// the lease, so drop streaks expire it: the agent degrades and decays
+// its rates toward the fallback. The drill reports how often leases
+// expired and how quickly the agent re-armed once the drops stopped --
+// exact virtual-time numbers, identical on every run.
 struct LeaseDrillResult {
   bool ok = false;
   std::uint64_t frames_down = 0;
@@ -501,23 +499,22 @@ LeaseDrillResult run_lease_drill(const topo::ClosTopology& clos,
                                  double drop_frac,
                                  std::int64_t window_us) {
   LeaseDrillResult r;
-  net::EpollLoop loop;
-  core::Allocator alloc(caps_of(clos), core::AllocatorConfig{});
+  sim::EventQueue events;
+  sim::SimTransport tr(events, 0xF417);
+  sim::SimLoop loop(tr);
+  const auto now_us = [&tr] { return tr.clock().now_us(); };
+  core::Allocator alloc(clos.graph().capacities(), core::AllocatorConfig{});
   net::ServerConfig scfg;
+  scfg.transport = &tr;
   scfg.tcp_port = 0;
   scfg.iteration_period_us = 0;
-  scfg.num_shards = 0;
   scfg.heartbeat_period_us = 1'000;
   scfg.rate_lease_us = 4'000;
   net::AllocatorService svc(loop, alloc, clos, scfg);
 
-  net::FaultJailConfig jcfg;
-  jcfg.upstream_port = svc.tcp_port();
-  jcfg.seed = 0xF417;
-  net::FaultJail jail(loop, jcfg);
-
   std::uint64_t fallback_enters = 0;
   net::AgentConfig acfg;
+  acfg.transport = &tr;
   acfg.fallback_rate_bps = 1e6;
   acfg.fallback_decay = 0.5;
   acfg.fallback_decay_interval_us = 1'000;
@@ -526,7 +523,7 @@ LeaseDrillResult run_lease_drill(const topo::ClosTopology& clos,
     if (entering) ++fallback_enters;
   };
   net::EndpointAgent agent(acfg);
-  if (!agent.connect_tcp("127.0.0.1", jail.port())) return r;
+  if (!agent.connect_tcp("sim", svc.tcp_port())) return r;
   const int hosts = clos.num_hosts();
   Rng rng(7);
   for (int f = 0; f < 8; ++f) {
@@ -538,26 +535,25 @@ LeaseDrillResult run_lease_drill(const topo::ClosTopology& clos,
   agent.flush();
   const auto pump = [&] {
     svc.run_allocation_round();
-    loop.run_once(1'000);  // let the heartbeat timer fire
+    loop.run_once(1'000);  // one heartbeat period of virtual time
     agent.poll();
   };
   for (int i = 0; i < 200; ++i) pump();
   if (!agent.lease_fresh()) return r;
 
-  jail.set_drop_down_frac(drop_frac);
-  const std::int64_t t0 = net::EpollLoop::now_us();
+  tr.set_drop_down_frac(drop_frac);
+  const std::int64_t t0 = now_us();
   const std::int64_t degraded_before = agent.stats().degraded_us;
-  while (net::EpollLoop::now_us() - t0 < window_us) pump();
-  const std::int64_t window = net::EpollLoop::now_us() - t0;
+  while (now_us() - t0 < window_us) pump();
+  const std::int64_t window = now_us() - t0;
   r.lease_expiries = agent.stats().lease_expiries;
   r.degraded_frac =
       static_cast<double>(agent.stats().degraded_us - degraded_before) /
       static_cast<double>(window);
 
-  jail.set_drop_down_frac(0.0);
-  const std::int64_t t_off = net::EpollLoop::now_us();
-  const std::int64_t reclaim_deadline = t_off + 5'000'000;
-  while (net::EpollLoop::now_us() < reclaim_deadline) {
+  tr.set_drop_down_frac(0.0);
+  const std::int64_t t_off = now_us();
+  while (now_us() - t_off < 5'000'000) {
     pump();
     if (agent.conn_state() == net::ConnState::kConnected &&
         agent.lease_fresh()) {
@@ -565,9 +561,9 @@ LeaseDrillResult run_lease_drill(const topo::ClosTopology& clos,
     }
   }
   if (!agent.lease_fresh()) return r;
-  r.reclaim_us = static_cast<double>(net::EpollLoop::now_us() - t_off);
-  r.frames_down = jail.stats().frames_down;
-  r.frames_dropped = jail.stats().frames_dropped;
+  r.reclaim_us = static_cast<double>(now_us() - t_off);
+  r.frames_down = tr.stats().frames_down;
+  r.frames_dropped = tr.stats().frames_dropped;
   r.fallback_enters = fallback_enters;
   r.ok = true;
   return r;
@@ -636,7 +632,7 @@ int main(int argc, char** argv) {
   tcfg.servers_per_rack = 8;
   tcfg.spines = 2;
   const topo::ClosTopology clos(tcfg);
-  core::Allocator alloc(caps_of(clos), core::AllocatorConfig{});
+  core::Allocator alloc(clos.graph().capacities(), core::AllocatorConfig{});
 
   const int hw = std::max(
       1, static_cast<int>(std::thread::hardware_concurrency()));
@@ -1021,8 +1017,9 @@ int main(int argc, char** argv) {
 
   // --- Recovery drills: the fault-tolerance numbers the control plane
   // is now on the hook for. Kill-restart measures detection + jittered
-  // backoff + replay-driven reconvergence end to end; the lease drill
-  // measures the graceful-fallback path under sustained frame loss.
+  // backoff + replay-driven reconvergence end to end over loopback; the
+  // lease drill measures the graceful-fallback path under sustained
+  // frame loss, on virtual time.
   bool recovery_ok = true;
   if (recovery) {
     bench::banner("Recovery drills",
@@ -1070,7 +1067,7 @@ int main(int argc, char** argv) {
     lj.set("drop_frac", drop_frac);
     if (lr.ok) {
       std::printf("\nlease drill (%.0f%% of downstream frames dropped "
-                  "for 400 ms):\n",
+                  "for 400 ms of virtual time):\n",
                   drop_frac * 100.0);
       std::printf("  frames %llu seen / %llu dropped, %llu lease "
                   "expiries, %llu flows entered fallback,\n"

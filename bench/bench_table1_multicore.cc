@@ -42,9 +42,7 @@ void run_row(const Row& row, std::int32_t iters, std::int32_t threads,
   const topo::ClosTopology clos(cfg);
   const auto part = topo::BlockPartition::make(clos, row.blocks);
 
-  std::vector<double> caps;
-  for (const auto& l : clos.graph().links()) caps.push_back(l.capacity_bps);
-  core::NumProblem problem(caps);
+  core::NumProblem problem(clos.graph().capacities());
 
   core::ParallelConfig pcfg;
   pcfg.num_blocks = row.blocks;

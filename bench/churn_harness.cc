@@ -27,12 +27,6 @@ topo::ClosConfig clos_for(std::int32_t servers) {
   return cfg;
 }
 
-std::vector<double> caps_of(const topo::ClosTopology& clos) {
-  std::vector<double> caps;
-  for (const auto& l : clos.graph().links()) caps.push_back(l.capacity_bps);
-  return caps;
-}
-
 }  // namespace
 
 UpdateTrafficResult run_update_traffic(const UpdateTrafficConfig& cfg) {
@@ -48,7 +42,7 @@ UpdateTrafficResult run_update_traffic(const UpdateTrafficConfig& cfg) {
   core::AllocatorConfig acfg;
   acfg.gamma = cfg.gamma;
   acfg.threshold = cfg.threshold;
-  core::Allocator alloc(caps_of(clos), acfg);
+  core::Allocator alloc(clos.graph().capacities(), acfg);
 
   struct Live {
     double remaining_bytes;
@@ -186,7 +180,7 @@ ChurnSolverResult run_churn_solver(const ChurnSolverConfig& cfg) {
   tc.seed = cfg.seed;
   wl::TrafficGenerator gen(tc);
 
-  core::NumProblem problem(caps_of(clos));
+  core::NumProblem problem(clos.graph().capacities());
   auto solver = make_solver(cfg.solver, problem, cfg.gamma);
 
   struct Live {
@@ -232,7 +226,7 @@ ChurnSolverResult run_churn_solver(const ChurnSolverConfig& cfg) {
       u_rates.resize(problem.num_slots());
       core::u_norm(problem, solver->rates(), u_rates);
       // Converged optimum on a copy of the current flow set.
-      core::NumProblem ref(caps_of(clos));
+      core::NumProblem ref(clos.graph().capacities());
       for (core::FlowIndex s = 0; s < problem.num_slots(); ++s) {
         const core::FlowView f = problem.flow(s);
         if (!f.active()) continue;

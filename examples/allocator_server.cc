@@ -137,8 +137,7 @@ int main(int argc, char** argv) {
       "to both.");
 
   topo::ClosTopology clos(tcfg);
-  std::vector<double> caps;
-  for (const auto& l : clos.graph().links()) caps.push_back(l.capacity_bps);
+  std::vector<double> caps = clos.graph().capacities();
   if (blocks <= 0) blocks = topo::BlockPartition::default_blocks(clos);
 
   core::CpuMapConfig pin;

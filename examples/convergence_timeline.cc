@@ -20,12 +20,10 @@ int main() {
   tcfg.spines = 2;
   tcfg.fabric_link_bps = 20e9;
   topo::ClosTopology clos(tcfg);
-  std::vector<double> caps;
-  for (const auto& l : clos.graph().links()) caps.push_back(l.capacity_bps);
 
   core::AllocatorConfig acfg;
   acfg.gamma = 0.4;
-  core::Allocator alloc(caps, acfg);
+  core::Allocator alloc(clos.graph().capacities(), acfg);
 
   const auto route = [&](std::uint64_t key, int src, int dst) {
     const auto p = clos.host_path(clos.host(src), clos.host(dst), key);

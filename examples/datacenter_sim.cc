@@ -29,9 +29,7 @@ namespace {
 void live_control_plane_replay(double load, ft::Time horizon) {
   using namespace ft;
   topo::ClosTopology clos((topo::ClosConfig()));
-  std::vector<double> caps;
-  for (const auto& l : clos.graph().links()) caps.push_back(l.capacity_bps);
-  core::Allocator alloc(caps, core::AllocatorConfig{});
+  core::Allocator alloc(clos.graph().capacities(), core::AllocatorConfig{});
 
   net::EpollLoop loop;
   net::ServerConfig scfg;

@@ -24,17 +24,12 @@ int main() {
   // 10 Gbit/s host links (topo::ClosConfig defaults).
   topo::ClosTopology clos((topo::ClosConfig()));
 
-  std::vector<double> capacities;
-  for (const auto& link : clos.graph().links()) {
-    capacities.push_back(link.capacity_bps);
-  }
-
   // Allocator with the paper's parameters: gamma = 0.4, notification
   // threshold 0.01 (reserves 1% capacity headroom), F-NORM.
   core::AllocatorConfig config;
   config.gamma = 0.4;
   config.threshold = 0.01;
-  core::Allocator allocator(capacities, config);
+  core::Allocator allocator(clos.graph().capacities(), config);
 
   // The allocator as a service (epoll + Unix socket), rounds driven
   // manually below so the demo stays single-threaded.

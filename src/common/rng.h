@@ -9,6 +9,17 @@
 
 namespace ft {
 
+// splitmix64 over (a, b): derives an independent, reproducible
+// sub-seed -- per agent, per workload, per chaos schedule -- from one
+// run seed.
+[[nodiscard]] inline std::uint64_t derive_seed(std::uint64_t a,
+                                               std::uint64_t b) {
+  std::uint64_t z = a + 0x9e3779b97f4a7c15ULL * (b + 1);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
 class Rng {
  public:
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL) { reseed(seed); }

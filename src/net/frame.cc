@@ -16,13 +16,6 @@ void put_le32(std::uint8_t* p, std::uint32_t v) {
   p[3] = static_cast<std::uint8_t>(v >> 24);
 }
 
-std::uint32_t get_le32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
 template <std::size_t N>
 void append_record(std::vector<std::uint8_t>& out, MsgType type,
                    const std::array<std::uint8_t, N>& enc) {
@@ -101,20 +94,19 @@ bool FrameParser::feed(std::span<const std::uint8_t> bytes,
   buf_.insert(buf_.end(), bytes.begin(), bytes.end());
 
   std::size_t off = 0;
-  while (buf_.size() - off >= kFrameHeaderBytes) {
-    const std::size_t payload_len = get_le32(&buf_[off]);
-    if (payload_len == 0 || payload_len > max_payload_) {
-      corrupt_ = true;
-      return false;
-    }
-    if (buf_.size() - off < kFrameHeaderBytes + payload_len) break;
-    if (!parse_payload({&buf_[off + kFrameHeaderBytes], payload_len},
+  for (;;) {
+    const std::size_t total =
+        frame_size(std::span(buf_).subspan(off), max_payload_);
+    if (total == 0) break;
+    if (total == kFrameMalformed ||
+        !parse_payload({&buf_[off + kFrameHeaderBytes],
+                        total - kFrameHeaderBytes},
                        sink)) {
       corrupt_ = true;
       return false;
     }
     ++stats_.frames;
-    off += kFrameHeaderBytes + payload_len;
+    off += total;
   }
   buf_.erase(buf_.begin(),
              buf_.begin() + static_cast<std::ptrdiff_t>(off));

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -32,6 +33,27 @@ inline constexpr std::size_t kFrameHeaderBytes = 4;
 // Upper bound on a frame payload; a peer announcing more is malformed
 // (guards against unbounded buffering on corrupt or hostile input).
 inline constexpr std::size_t kMaxFramePayload = 1 << 20;
+
+// The one frame-boundary decode, shared by FrameParser, SimProxy's frame
+// cutter and SimTransport's drop sieve (inline: FrameParser::feed calls
+// it per frame). `buf` starts at a frame boundary. Returns the whole
+// frame's size (header + payload) once all of it is in `buf`, 0 while it
+// is incomplete, and kFrameMalformed as soon as the header announces a
+// payload of 0 or above `max_payload`: the stream is not length-prefixed.
+inline constexpr std::size_t kFrameMalformed =
+    std::numeric_limits<std::size_t>::max();
+[[nodiscard]] inline std::size_t frame_size(
+    std::span<const std::uint8_t> buf,
+    std::size_t max_payload = kMaxFramePayload) {
+  if (buf.size() < kFrameHeaderBytes) return 0;
+  const std::size_t payload = static_cast<std::size_t>(buf[0]) |
+                              (static_cast<std::size_t>(buf[1]) << 8) |
+                              (static_cast<std::size_t>(buf[2]) << 16) |
+                              (static_cast<std::size_t>(buf[3]) << 24);
+  if (payload == 0 || payload > max_payload) return kFrameMalformed;
+  const std::size_t total = kFrameHeaderBytes + payload;
+  return buf.size() < total ? 0 : total;
+}
 
 inline constexpr std::size_t kStartRecordBytes =
     1 + core::kFlowletStartBytes;

@@ -1,8 +1,8 @@
 // Shared socket plumbing for the OS transport path.
 //
 // The nonblocking / SO_REUSEADDR / TCP_NODELAY / close-on-failure
-// boilerplate used to be copy-pasted across net/client.cc, net/server.cc
-// and net/faultjail.cc; it lives here once. Every function either
+// boilerplate behind net::OsTransport (net/transport.cc), which every
+// real socket in the control plane goes through. Every function either
 // returns a ready fd (listeners and accepted sockets come back
 // nonblocking) or -1 with the failing call's errno preserved and no fd
 // leaked.

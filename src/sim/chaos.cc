@@ -10,14 +10,6 @@
 namespace ft::sim {
 namespace {
 
-// splitmix64, same construction the harness uses for per-agent seeds.
-std::uint64_t mix(std::uint64_t a, std::uint64_t b) {
-  std::uint64_t z = a + 0x9e3779b97f4a7c15ULL * (b + 1);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
 bool windowed(ChaosFaultKind k) {
   switch (k) {
     case ChaosFaultKind::kBlackHole:
@@ -86,7 +78,7 @@ const char* chaos_fault_name(ChaosFaultKind k) {
 }
 
 ChaosSchedule ChaosEngine::generate(std::uint64_t seed) const {
-  Rng rng(mix(seed, 0xC4A05ULL));
+  Rng rng(derive_seed(seed, 0xC4A05ULL));
   ChaosSchedule s;
   s.seed = seed;
   const int span = cfg_.max_events - cfg_.min_events + 1;
@@ -169,6 +161,7 @@ ChaosResult ChaosEngine::run_schedule(const ChaosSchedule& s) const {
                                                : a.seq < b.seq;
                    });
 
+  SimTransport& tr = h.transport();
   int depth_black = 0;
   int depth_up = 0;
   int depth_down = 0;
@@ -177,28 +170,28 @@ ChaosResult ChaosEngine::run_schedule(const ChaosSchedule& s) const {
   const auto apply = [&](const Action& a) {
     switch (a.kind) {
       case ChaosFaultKind::kKillConnections:
-        h.kill_connections();
+        tr.kill_all();
         break;
       case ChaosFaultKind::kRestartService:
         h.restart_service();
         break;
       case ChaosFaultKind::kBlackHole:
         depth_black += a.on ? 1 : -1;
-        h.set_black_hole(depth_black > 0);
+        tr.set_black_hole(depth_black > 0);
         break;
       case ChaosFaultKind::kPartitionUp:
         depth_up += a.on ? 1 : -1;
-        h.set_partition_up(depth_up > 0);
+        tr.set_partition_up(depth_up > 0);
         break;
       case ChaosFaultKind::kPartitionDown:
         depth_down += a.on ? 1 : -1;
-        h.set_partition_down(depth_down > 0);
+        tr.set_partition_down(depth_down > 0);
         break;
       case ChaosFaultKind::kDropFrames:
         depth_drop += a.on ? 1 : -1;
         if (a.on) drop_frac = std::max(drop_frac, a.magnitude);
         if (depth_drop == 0) drop_frac = 0.0;
-        h.set_drop_down_frac(depth_drop > 0 ? drop_frac : 0.0);
+        tr.set_drop_down_frac(depth_drop > 0 ? drop_frac : 0.0);
         break;
     }
   };
@@ -237,10 +230,10 @@ ChaosResult ChaosEngine::run_schedule(const ChaosSchedule& s) const {
 
   // All windows have closed by construction; clear defensively anyway
   // so reconvergence is measured fault-free.
-  h.set_black_hole(false);
-  h.set_partition_up(false);
-  h.set_partition_down(false);
-  h.set_drop_down_frac(0.0);
+  tr.set_black_hole(false);
+  tr.set_partition_up(false);
+  tr.set_partition_down(false);
+  tr.set_drop_down_frac(0.0);
 
   const std::int64_t rc_start = h.virtual_now_us();
   const ConvergeStats rc = h.run_to_convergence();
@@ -353,8 +346,8 @@ CampaignResult ChaosEngine::run_campaign(std::uint64_t campaign_seed,
     out.campaign_hash *= 1099511628211ULL;
   };
   for (int i = 0; i < n; ++i) {
-    const ChaosSchedule s = generate(mix(campaign_seed,
-                                         static_cast<std::uint64_t>(i)));
+    const ChaosSchedule s = generate(
+        derive_seed(campaign_seed, static_cast<std::uint64_t>(i)));
     ChaosResult r = run_schedule(s);
     ++out.schedules_run;
     fnv(r.trajectory_hash);

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/rng.h"
 #include "obs/metrics.h"
 #include "workload/traffic_gen.h"
 
@@ -23,28 +24,13 @@ topo::ClosConfig clos_cfg(const HarnessConfig& cfg) {
   return c;
 }
 
-std::vector<double> caps_of(const topo::ClosTopology& topo) {
-  std::vector<double> caps;
-  caps.reserve(topo.graph().links().size());
-  for (const auto& l : topo.graph().links()) caps.push_back(l.capacity_bps);
-  return caps;
-}
-
-// splitmix64: derives independent per-agent seeds from the harness seed.
-std::uint64_t mix(std::uint64_t a, std::uint64_t b) {
-  std::uint64_t z = a + 0x9e3779b97f4a7c15ULL * (b + 1);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
 }  // namespace
 
 ControlPlaneHarness::ControlPlaneHarness(HarnessConfig cfg)
     : cfg_(cfg),
       tr_(events_, cfg_.seed),
       topo_(clos_cfg(cfg_)),
-      alloc_(caps_of(topo_), cfg_.alloc) {
+      alloc_(topo_.graph().capacities(), cfg_.alloc) {
   FT_CHECK(cfg_.num_endpoints > 0);
   FT_CHECK(cfg_.num_endpoints <= topo_.num_hosts());
   tr_.set_default_link(cfg_.link);
@@ -77,7 +63,8 @@ ControlPlaneHarness::ControlPlaneHarness(HarnessConfig cfg)
     ac.auto_reconnect = true;
     // Explicit per-agent jitter seed: the default derives from the
     // object's address, which would break cross-run determinism.
-    ac.reconnect_seed = mix(cfg_.seed, static_cast<std::uint64_t>(i));
+    ac.reconnect_seed =
+        derive_seed(cfg_.seed, static_cast<std::uint64_t>(i));
     ac.heartbeat_period_us = cfg_.agent_heartbeat_period_us;
     ac.peer_timeout_us = cfg_.agent_peer_timeout_us;
     ac.epoch_filtering = cfg_.agent_epoch_filtering;
@@ -105,7 +92,7 @@ ControlPlaneHarness::ControlPlaneHarness(HarnessConfig cfg)
   wl::TrafficConfig tc;
   tc.num_hosts = n;
   tc.host_link_bps = cfg_.host_link_bps;
-  tc.seed = mix(cfg_.seed, 0xf1071e75ULL);
+  tc.seed = derive_seed(cfg_.seed, 0xf1071e75ULL);
   total_flows_ =
       static_cast<std::size_t>(n) *
       static_cast<std::size_t>(cfg_.flows_per_endpoint);

@@ -14,11 +14,11 @@
 // real flowlet_start batching path at their generated virtual times,
 // staggered behind the agents' connection ramp.
 //
-// The harness doubles as a fault rig: kill_connections() resets every
-// stream at once (reconnect storm on virtual time), restart_service()
-// tears the service down and rebinds the same port (agents replay
-// their flowlets on reconnect), and the transport's drop/black-hole
-// knobs are exposed directly.
+// The harness doubles as a fault rig: restart_service() tears the
+// service down and rebinds the same port (agents replay their flowlets
+// on reconnect), and every wire fault -- reset storm, frame drops,
+// black hole, one-way partitions -- is injected straight into
+// transport(), the one fault layer (sim/sim_transport.h).
 #pragma once
 
 #include <cstdint>
@@ -114,18 +114,10 @@ class ControlPlaneHarness {
   // Advances virtual time by `us` unconditionally.
   void run_for(std::int64_t us);
 
-  // --- fault drills (compose with virtual time) ---
-  // Reset storm: every stream dies; agents enter jittered backoff.
-  void kill_connections() { tr_.kill_all(); }
   // Tears the service down (flows end, listener closes) and brings a
-  // fresh one up on the same port; agents reconnect and replay.
+  // fresh one up on the same port; agents reconnect and replay. Wire
+  // faults go to transport() directly.
   void restart_service();
-  void set_drop_down_frac(double f) { tr_.set_drop_down_frac(f); }
-  void set_black_hole(bool on) { tr_.set_black_hole(on); }
-  // One-way partitions (sim/sim_transport.h): only the named direction
-  // evaporates, the other keeps flowing.
-  void set_partition_up(bool on) { tr_.set_partition_up(on); }
-  void set_partition_down(bool on) { tr_.set_partition_down(on); }
 
   [[nodiscard]] std::uint64_t trajectory_hash() const { return hash_; }
   [[nodiscard]] std::int64_t virtual_now_us() const {

@@ -11,13 +11,6 @@
 namespace ft::sim {
 namespace {
 
-std::uint32_t get_le32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
 // Moves complete length-prefixed frames from `parse` to `ready`. An
 // unframeable stream flips to raw mode (verbatim pass-through).
 void cut_frames(std::vector<std::uint8_t>& parse,
@@ -28,9 +21,10 @@ void cut_frames(std::vector<std::uint8_t>& parse,
     return;
   }
   std::size_t off = 0;
-  while (parse.size() - off >= net::kFrameHeaderBytes) {
-    const std::size_t payload_len = get_le32(&parse[off]);
-    if (payload_len == 0 || payload_len > net::kMaxFramePayload) {
+  for (;;) {
+    const std::size_t total = net::frame_size(std::span(parse).subspan(off));
+    if (total == 0) break;
+    if (total == net::kFrameMalformed) {
       raw = true;
       ready.insert(ready.end(),
                    parse.begin() + static_cast<std::ptrdiff_t>(off),
@@ -38,8 +32,6 @@ void cut_frames(std::vector<std::uint8_t>& parse,
       parse.clear();
       return;
     }
-    const std::size_t total = net::kFrameHeaderBytes + payload_len;
-    if (parse.size() - off < total) break;
     ready.insert(ready.end(),
                  parse.begin() + static_cast<std::ptrdiff_t>(off),
                  parse.begin() + static_cast<std::ptrdiff_t>(off + total));
@@ -68,8 +60,10 @@ SimProxy::~SimProxy() {
 
 void SimProxy::bind_metrics(obs::MetricsRegistry& reg,
                             std::string_view prefix) {
-  discard_counter_ =
+  resync_counter_ =
       &reg.counter(std::string(prefix) + ".bytes_discarded_resync");
+  close_counter_ =
+      &reg.counter(std::string(prefix) + ".bytes_discarded_on_close");
 }
 
 void SimProxy::on_listener_ready(std::uint32_t /*mask*/) {
@@ -135,8 +129,8 @@ void SimProxy::lose_upstream(Session& s) {
   if (!s.down.parse.empty()) {
     const auto n = static_cast<std::int64_t>(s.down.parse.size());
     stats_.bytes_discarded_resync += n;
-    if (discard_counter_ != nullptr) {
-      discard_counter_->add(static_cast<std::uint64_t>(n));
+    if (resync_counter_ != nullptr) {
+      resync_counter_->add(static_cast<std::uint64_t>(n));
     }
     s.down.parse.clear();
   }
@@ -155,6 +149,12 @@ void SimProxy::teardown(int client_fd) {
   loop_->del_fd(s.client_fd);
   tr_.close(s.client_fd);
   ++stats_.clients_closed;
+  // Residue and unwritten frames in both directions die with the
+  // session: count them, like the resync residue.
+  const std::size_t n = s.up.parse.size() + s.up.ready.size() +
+                        s.down.parse.size() + s.down.ready.size();
+  stats_.bytes_discarded_on_close += static_cast<std::int64_t>(n);
+  if (close_counter_ != nullptr && n > 0) close_counter_->add(n);
   sessions_.erase(it);
 }
 

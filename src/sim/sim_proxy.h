@@ -24,7 +24,10 @@
 //     arrive (that upstream is dead), so the residue is discarded --
 //     and counted, never silently (bytes_discarded_resync).
 // A direction that turns out not to be length-prefixed falls back to
-// verbatim forwarding (raw mode), mirroring FaultJail's sieve.
+// verbatim forwarding (raw mode), as SimTransport's drop sieve does
+// (both cut frames with net::frame_size). Bytes a session still holds
+// when it ends are counted too (bytes_discarded_on_close). Faults are
+// not the proxy's job: they live in the transport underneath.
 //
 // Single-threaded, event-driven on the Transport's IoLoop; with
 // SimTransport underneath every action is a deterministic virtual-time
@@ -54,9 +57,11 @@ struct SimProxyStats {
   std::uint64_t upstream_losses = 0;   // EOF/reset/refused on a live leg
   std::int64_t bytes_up = 0;           // client -> upstream, forwarded
   std::int64_t bytes_down = 0;         // upstream -> client, forwarded
-  // Partial-frame residue discarded when swapping a dead upstream
-  // (the only place the proxy deliberately drops bytes).
+  // The proxy's two drop paths: partial-frame residue discarded when
+  // swapping a dead upstream, and whatever a session still buffers in
+  // either direction when it is torn down.
   std::int64_t bytes_discarded_resync = 0;
+  std::int64_t bytes_discarded_on_close = 0;
 };
 
 class SimProxy {
@@ -82,8 +87,8 @@ class SimProxy {
     return upstream_owner_.size();
   }
 
-  // Mirrors the proxy's one deliberate drop path into a named counter
-  // ("<prefix>.bytes_discarded_resync").
+  // Mirrors the proxy's drop paths into named counters
+  // ("<prefix>.bytes_discarded_resync", "<prefix>.bytes_discarded_on_close").
   void bind_metrics(obs::MetricsRegistry& reg, std::string_view prefix);
 
  private:
@@ -130,7 +135,8 @@ class SimProxy {
   std::map<int, Session> sessions_;       // by client_fd
   std::map<int, int> upstream_owner_;     // upstream_fd -> client_fd
   SimProxyStats stats_;
-  obs::Counter* discard_counter_ = nullptr;
+  obs::Counter* resync_counter_ = nullptr;
+  obs::Counter* close_counter_ = nullptr;
 };
 
 }  // namespace ft::sim

@@ -25,13 +25,6 @@ constexpr std::uint64_t pack_connect(int listener, int server_handle) {
          static_cast<std::uint32_t>(server_handle);
 }
 
-std::uint32_t get_le32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
 }  // namespace
 
 SimTransport::SimTransport(EventQueue& events, std::uint64_t seed)
@@ -231,14 +224,16 @@ void SimTransport::send_segment(Stream& from,
 }
 
 void SimTransport::sieve_and_send(Stream& from) {
-  // FaultJail's sieve on virtual time: cut complete length-prefixed
-  // frames, roll the seeded die per frame, forward survivors. An
-  // unframeable stream falls back to verbatim forwarding.
+  // Cut complete length-prefixed frames, roll the seeded die per frame,
+  // forward survivors. An unframeable stream falls back to verbatim
+  // forwarding.
   std::size_t off = 0;
   std::vector<std::uint8_t> out;
-  while (from.down_parse.size() - off >= net::kFrameHeaderBytes) {
-    const std::size_t payload_len = get_le32(&from.down_parse[off]);
-    if (payload_len == 0 || payload_len > net::kMaxFramePayload) {
+  for (;;) {
+    const std::size_t total =
+        net::frame_size(std::span(from.down_parse).subspan(off));
+    if (total == 0) break;
+    if (total == net::kFrameMalformed) {
       from.raw_mode = true;
       out.insert(out.end(), from.down_parse.begin() +
                                 static_cast<std::ptrdiff_t>(off),
@@ -247,15 +242,13 @@ void SimTransport::sieve_and_send(Stream& from) {
       send_segment(from, std::move(out));
       return;
     }
-    const std::size_t total = net::kFrameHeaderBytes + payload_len;
-    if (from.down_parse.size() - off < total) break;
     ++stats_.frames_down;
     if (rng_.uniform() < drop_down_frac_) {
       ++stats_.frames_dropped;
       stats_.bytes_dropped_sieve += static_cast<std::int64_t>(total);
       if (lc_.dropped_sieve != nullptr) lc_.dropped_sieve->add(total);
       count_dropped_records(&from.down_parse[off + net::kFrameHeaderBytes],
-                            payload_len);
+                            total - net::kFrameHeaderBytes);
     } else {
       out.insert(
           out.end(),

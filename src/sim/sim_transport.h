@@ -14,10 +14,11 @@
 // seq-ordered event ties, a handle-indexed table walked in handle
 // order).
 //
-// FaultJail-style faults compose with virtual time natively:
+// This is the control plane's one fault layer: every drill (tests,
+// benches, chaos campaigns) injects its faults here, on virtual time:
 //   - set_drop_down_frac: a seeded fraction of service->agent *frames*
-//     vanish in flight (whole frames, never mid-record, via the same
-//     length-prefix sieve FaultJail uses, so parsers keep working);
+//     vanish in flight (whole frames, never mid-record: the sieve cuts
+//     at net::frame_size boundaries, so parsers keep working);
 //   - set_black_hole: writes succeed but bytes evaporate (the silent
 //     partition leases exist for);
 //   - set_partition_up / set_partition_down: the black hole's one-way

@@ -22,6 +22,13 @@ LinkId Topology::add_link(NodeId src, NodeId dst, double capacity_bps,
   return id;
 }
 
+std::vector<double> Topology::capacities() const {
+  std::vector<double> caps;
+  caps.reserve(links_.size());
+  for (const Link& l : links_) caps.push_back(l.capacity_bps);
+  return caps;
+}
+
 LinkId Topology::find_link(NodeId src, NodeId dst) const {
   for (LinkId l : out_links(src)) {
     if (links_[l.value()].dst == dst) return l;

@@ -46,6 +46,9 @@ class Topology {
   }
   [[nodiscard]] std::span<const Node> nodes() const { return nodes_; }
   [[nodiscard]] std::span<const Link> links() const { return links_; }
+  // Every link's capacity, indexed by LinkId: the vector core::Allocator
+  // and core::NumProblem are built from.
+  [[nodiscard]] std::vector<double> capacities() const;
 
   // Links whose source is `node`.
   [[nodiscard]] std::span<const LinkId> out_links(NodeId node) const {

@@ -70,15 +70,7 @@ AllocatorApp::AllocatorApp(FlowRegistry& reg,
     : reg_(reg),
       clos_(clos),
       cfg_(cfg),
-      alloc_(
-          [&clos] {
-            std::vector<double> caps;
-            for (const auto& l : clos.graph().links()) {
-              caps.push_back(l.capacity_bps);
-            }
-            return caps;
-          }(),
-          cfg.allocator) {
+      alloc_(clos.graph().capacities(), cfg.allocator) {
   FT_CHECK(clos.config().with_allocator);
   const std::int32_t n = clos.num_hosts();
   up_.reserve(static_cast<std::size_t>(n));

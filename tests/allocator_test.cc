@@ -15,14 +15,6 @@
 namespace ft::core {
 namespace {
 
-std::vector<double> caps_of(const topo::ClosTopology& clos) {
-  std::vector<double> caps;
-  for (const auto& l : clos.graph().links()) {
-    caps.push_back(l.capacity_bps);
-  }
-  return caps;
-}
-
 std::vector<LinkId> to_vec(const topo::Path& p) {
   return {p.begin(), p.end()};
 }
@@ -55,7 +47,7 @@ class AllocatorTest : public ::testing::Test {
           cfg.fabric_link_bps = 20e9;
           return cfg;
         }()),
-        alloc_(caps_of(clos_), AllocatorConfig{}) {}
+        alloc_(clos_.graph().capacities(), AllocatorConfig{}) {}
 
   std::uint64_t start_flow(std::uint64_t key, int src, int dst) {
     const auto p = clos_.host_path(clos_.host(src), clos_.host(dst), key);
@@ -209,7 +201,7 @@ TEST(AllocatorThresholdTest, HigherThresholdEmitsFewerUpdates) {
   auto run = [&](double threshold) {
     AllocatorConfig acfg;
     acfg.threshold = threshold;
-    Allocator alloc(caps_of(clos), acfg);
+    Allocator alloc(clos.graph().capacities(), acfg);
     std::vector<RateUpdate> updates;
     std::uint64_t key = 1;
     // Staircase churn on a shared bottleneck.
@@ -237,7 +229,7 @@ TEST(AllocatorConfigTest, MultipleItersPerRoundConvergeFaster) {
   const auto run_rounds_to_converge = [&](int iters_per_round) {
     AllocatorConfig acfg;
     acfg.iters_per_round = iters_per_round;
-    Allocator alloc(caps_of(clos), acfg);
+    Allocator alloc(clos.graph().capacities(), acfg);
     const auto p1 = clos.host_path(clos.host(0), clos.host(3), 1);
     const auto p2 = clos.host_path(clos.host(1), clos.host(3), 2);
     alloc.flowlet_start(1, to_vec(p1));
@@ -269,7 +261,7 @@ TEST(AllocatorConfigTest, UniformNormalizationOption) {
   topo::ClosTopology clos(cfg);
   AllocatorConfig acfg;
   acfg.norm = NormKind::kUniform;
-  Allocator alloc(caps_of(clos), acfg);
+  Allocator alloc(clos.graph().capacities(), acfg);
   const auto p1 = clos.host_path(clos.host(0), clos.host(3), 1);
   alloc.flowlet_start(1, to_vec(p1));
   std::vector<RateUpdate> updates;
@@ -288,7 +280,7 @@ TEST(AllocatorUtilityTest, WeightedFlowsGetWeightedShares) {
   AllocatorConfig acfg;
   acfg.threshold = 0.0;  // exact notifications
   acfg.reserve_headroom = false;
-  Allocator alloc(caps_of(clos), acfg);
+  Allocator alloc(clos.graph().capacities(), acfg);
 
   const auto p1 = clos.host_path(clos.host(0), clos.host(3), 1);
   const auto p2 = clos.host_path(clos.host(1), clos.host(3), 2);
@@ -322,8 +314,8 @@ struct BackendPair {
           cfg.spines = 2;
           return topo::ClosTopology(cfg);
         }()),
-        seq(caps_of(clos), acfg),
-        par(caps_of(clos), acfg,
+        seq(clos.graph().capacities(), acfg),
+        par(clos.graph().capacities(), acfg,
             parallel_backend(topo::BlockPartition::make(clos, blocks),
                              [&] {
                                ParallelConfig pcfg;

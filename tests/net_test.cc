@@ -31,6 +31,7 @@
 #include "net/spsc_queue.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
+#include "sim/sim_transport.h"
 #include "topo/clos.h"
 
 namespace ft::net {
@@ -279,6 +280,86 @@ TEST(FrameParserTest, RejectsMalformedStreams) {
   }
 }
 
+std::vector<std::uint8_t> frame_header(std::size_t payload_len) {
+  return {static_cast<std::uint8_t>(payload_len),
+          static_cast<std::uint8_t>(payload_len >> 8),
+          static_cast<std::uint8_t>(payload_len >> 16),
+          static_cast<std::uint8_t>(payload_len >> 24)};
+}
+
+// frame_size() is the one frame-boundary decode: FrameParser, SimProxy's
+// frame cutter and SimTransport's drop sieve all call it. Its verdict at
+// every edge: 0 while incomplete, the whole frame's size once complete,
+// kFrameMalformed as soon as the header announces 0 or > max.
+TEST(FrameParserTest, FrameSizeAtItsEdges) {
+  std::vector<std::uint8_t> one;  // one valid frame: a heartbeat record
+  FrameWriter w;
+  w.add(core::HeartbeatMsg{});
+  ASSERT_EQ(w.flush(one), kFrameHeaderBytes + kHeartbeatRecordBytes);
+  std::vector<std::uint8_t> one_and_more = one;
+  one_and_more.push_back(7);  // first byte of the next header
+  std::vector<std::uint8_t> max_frame = frame_header(kMaxFramePayload);
+  max_frame.resize(kFrameHeaderBytes + kMaxFramePayload, 0);
+  const struct {
+    const char* name;
+    std::vector<std::uint8_t> bytes;
+    std::size_t want;
+  } cases[] = {
+      {"header split after byte 1", {one.begin(), one.begin() + 1}, 0},
+      {"header split after byte 2", {one.begin(), one.begin() + 2}, 0},
+      {"header split after byte 3", {one.begin(), one.begin() + 3}, 0},
+      {"header only", {one.begin(), one.begin() + 4}, 0},
+      {"payload 1 byte short", {one.begin(), one.end() - 1}, 0},
+      {"whole frame", one, one.size()},
+      {"frame + next header byte", one_and_more, one.size()},
+      {"payload length 0", frame_header(0), kFrameMalformed},
+      {"max payload, 1 byte short", {max_frame.begin(), max_frame.end() - 1},
+       0},
+      {"max payload, whole", max_frame, max_frame.size()},
+      {"max payload + 1", frame_header(kMaxFramePayload + 1),
+       kFrameMalformed},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(frame_size(c.bytes), c.want) << c.name;
+  }
+  EXPECT_EQ(frame_size(frame_header(1025), 1024), kFrameMalformed);
+
+  // On the same two malformed prefixes the parser turns corrupt, and
+  // SimTransport's sieve gives up on framing: with every frame set to
+  // die, the frame ahead of the prefix is dropped whole, but the prefix
+  // and the frame behind it are forwarded verbatim (raw mode).
+  for (const std::size_t bad_len : {std::size_t{0}, kMaxFramePayload + 1}) {
+    const std::vector<std::uint8_t> bad = frame_header(bad_len);
+    FrameParser parser;
+    Collector sink;
+    EXPECT_TRUE(parser.feed(one, sink));
+    EXPECT_FALSE(parser.feed(bad, sink)) << bad_len;
+    EXPECT_FALSE(parser.feed(one, sink));  // stays corrupt
+
+    sim::EventQueue q;
+    sim::SimTransport tr(q);
+    int port = 0;
+    const int listener = tr.listen_tcp(0, false, &port);
+    const int client = tr.connect_tcp("sim", port);
+    q.run_until(50 * kMicrosecond);
+    const int server = tr.accept(listener);
+    tr.set_drop_down_frac(1.0);
+    std::vector<std::uint8_t> stream = one;
+    stream.insert(stream.end(), bad.begin(), bad.end());
+    stream.insert(stream.end(), one.begin(), one.end());
+    ASSERT_EQ(tr.write(server, stream.data(), stream.size()),
+              static_cast<std::int64_t>(stream.size()));
+    q.run_until(q.now() + 50 * kMicrosecond);
+    std::vector<std::uint8_t> got(stream.size());
+    got.resize(static_cast<std::size_t>(
+        std::max<std::int64_t>(0, tr.read(client, got.data(), got.size()))));
+    stream.erase(stream.begin(),
+                 stream.begin() + static_cast<std::ptrdiff_t>(one.size()));
+    EXPECT_EQ(got, stream);
+    EXPECT_EQ(tr.stats().frames_dropped, 1u);
+  }
+}
+
 // Fuzz/property test (satellite): a parser fed corrupted byte streams --
 // truncations, oversized length fields, bit flips, random garbage --
 // split at arbitrary chunk boundaries must only ever (a) keep decoding
@@ -479,14 +560,6 @@ class LoopbackTest : public ::testing::Test {
     return cfg;
   }
 
-  static std::vector<double> caps_of(const topo::ClosTopology& clos) {
-    std::vector<double> caps;
-    for (const auto& l : clos.graph().links()) {
-      caps.push_back(l.capacity_bps);
-    }
-    return caps;
-  }
-
   static core::AllocatorConfig alloc_cfg() {
     core::AllocatorConfig cfg;
     // Threshold 0 so every rate change is notified: the agents' final
@@ -504,7 +577,7 @@ class LoopbackTest : public ::testing::Test {
 
 TEST_F(LoopbackTest, AgentsMatchInProcessAllocator) {
   const topo::ClosTopology clos(small_clos());
-  core::Allocator alloc(caps_of(clos), alloc_cfg());
+  core::Allocator alloc(clos.graph().capacities(), alloc_cfg());
 
   EpollLoop loop;
   ServerConfig scfg;
@@ -563,7 +636,7 @@ TEST_F(LoopbackTest, AgentsMatchInProcessAllocator) {
 
   // Reference: identical flows through an in-process allocator (same
   // route selection: host_path keyed by flow key, as the service does).
-  core::Allocator ref(caps_of(clos), alloc_cfg());
+  core::Allocator ref(clos.graph().capacities(), alloc_cfg());
   for (int a = 0; a < kAgents; ++a) {
     for (const Flow& fl : flows[a]) {
       const auto p =
@@ -597,7 +670,7 @@ TEST_F(LoopbackTest, AgentsMatchInProcessAllocator) {
 
 TEST_F(LoopbackTest, UnixSocketFlowletLifecycleAndIdleGap) {
   const topo::ClosTopology clos(small_clos());
-  core::Allocator alloc(caps_of(clos), alloc_cfg());
+  core::Allocator alloc(clos.graph().capacities(), alloc_cfg());
 
   EpollLoop loop;
   ServerConfig scfg;
@@ -658,7 +731,7 @@ TEST_F(LoopbackTest, DetectorDrivenAgentAutoStartsAndEnds) {
   // lifecycle -- auto start on the first packet, auto end after the
   // adaptive gap, auto re-start on the next burst.
   const topo::ClosTopology clos(small_clos());
-  core::Allocator alloc(caps_of(clos), alloc_cfg());
+  core::Allocator alloc(clos.graph().capacities(), alloc_cfg());
 
   EpollLoop loop;
   ServerConfig scfg;
@@ -723,7 +796,7 @@ TEST_F(LoopbackTest, BigRoundsSplitIntoChunkedFrames) {
   // frames cut at flush_chunk_bytes, never one oversized frame (which
   // would trip the kMaxFramePayload invariant on a big deployment).
   const topo::ClosTopology clos(small_clos());
-  core::Allocator alloc(caps_of(clos), alloc_cfg());
+  core::Allocator alloc(clos.graph().capacities(), alloc_cfg());
 
   EpollLoop loop;
   ServerConfig scfg;
@@ -765,7 +838,7 @@ TEST_F(LoopbackTest, ServiceSurvivesChurn) {
   // FlowIndex slots across remove_flow and could hit recycled slots:
   // keys, not slots, are the contract here.
   const topo::ClosTopology clos(small_clos());
-  core::Allocator alloc(caps_of(clos), alloc_cfg());
+  core::Allocator alloc(clos.graph().capacities(), alloc_cfg());
 
   EpollLoop loop;
   ServerConfig scfg;
@@ -827,7 +900,7 @@ TEST_F(LoopbackTest, StalledReaderDroppedAtMaxOutboxBytes) {
   // under flush_chunk_bytes on the way there. A healthy agent sharing
   // the service must ride through undisturbed.
   const topo::ClosTopology clos(small_clos());
-  core::Allocator alloc(caps_of(clos), alloc_cfg());
+  core::Allocator alloc(clos.graph().capacities(), alloc_cfg());
 
   EpollLoop loop;
   ServerConfig scfg;
@@ -944,7 +1017,7 @@ class ShardedLoopbackTest : public LoopbackTest {
 
 TEST_F(ShardedLoopbackTest, AgentsAcrossShardsMatchInProcessAllocator) {
   const topo::ClosTopology clos(small_clos());
-  core::Allocator alloc(caps_of(clos), alloc_cfg());
+  core::Allocator alloc(clos.graph().capacities(), alloc_cfg());
 
   EpollLoop loop;
   ServerConfig scfg;
@@ -1003,7 +1076,7 @@ TEST_F(ShardedLoopbackTest, AgentsAcrossShardsMatchInProcessAllocator) {
   // Reference: identical flows through an in-process allocator. The
   // sharded service registers flows in drain order, but NED converges
   // to the same optimum regardless of registration order.
-  core::Allocator ref(caps_of(clos), alloc_cfg());
+  core::Allocator ref(clos.graph().capacities(), alloc_cfg());
   for (int a = 0; a < kAgents; ++a) {
     for (const Flow& fl : flows[a]) {
       const auto p =
@@ -1040,7 +1113,7 @@ TEST_F(ShardedLoopbackTest, AgentsAcrossShardsMatchInProcessAllocator) {
 
 TEST_F(ShardedLoopbackTest, ChurnAndDisconnectAcrossShards) {
   const topo::ClosTopology clos(small_clos());
-  core::Allocator alloc(caps_of(clos), alloc_cfg());
+  core::Allocator alloc(clos.graph().capacities(), alloc_cfg());
 
   EpollLoop loop;
   ServerConfig scfg;
@@ -1132,7 +1205,7 @@ TEST_F(ShardedLoopbackTest, CrossShardDuplicateKeyRejected) {
   // allocation thread is the authority, so exactly one registration
   // survives and the loser's shard entry is rolled back by kReject.
   const topo::ClosTopology clos(small_clos());
-  core::Allocator alloc(caps_of(clos), alloc_cfg());
+  core::Allocator alloc(clos.graph().capacities(), alloc_cfg());
 
   EpollLoop loop;
   ServerConfig scfg;
@@ -1169,7 +1242,7 @@ TEST_F(ShardedLoopbackTest, SampledStartProducesCompleteSevenHopSpan) {
   // stamped, in causal order, and land e2e.* histograms in the agent's
   // registry.
   const topo::ClosTopology clos(small_clos());
-  core::Allocator alloc(caps_of(clos), alloc_cfg());
+  core::Allocator alloc(clos.graph().capacities(), alloc_cfg());
 
   EpollLoop loop;
   ServerConfig scfg;
@@ -1226,7 +1299,7 @@ TEST_F(LoopbackTest, InlineTraceAndFlowletEndDropsContext) {
   // loop without shard rings, and a flowlet_end before the first rate
   // update retires the parked context (counted as a drop, not leaked).
   const topo::ClosTopology clos(small_clos());
-  core::Allocator alloc(caps_of(clos), alloc_cfg());
+  core::Allocator alloc(clos.graph().capacities(), alloc_cfg());
 
   EpollLoop loop;
   ServerConfig scfg;
@@ -1279,7 +1352,7 @@ TEST_F(LoopbackTest, InjectedStallPromotesRoundIntoFlightRecorder) {
   // stall attributed to fanout_us, while ordinary rounds stay below the
   // promotion threshold.
   const topo::ClosTopology clos(small_clos());
-  core::Allocator alloc(caps_of(clos), alloc_cfg());
+  core::Allocator alloc(clos.graph().capacities(), alloc_cfg());
 
   EpollLoop loop;
   ServerConfig scfg;

@@ -31,11 +31,8 @@ struct Instance {
           cfg.spines = spines;
           return topo::ClosTopology(cfg);
         }()),
-        part(topo::BlockPartition::make(clos, blocks)) {
-    for (const auto& l : clos.graph().links()) {
-      caps.push_back(l.capacity_bps);
-    }
-  }
+        part(topo::BlockPartition::make(clos, blocks)),
+        caps(clos.graph().capacities()) {}
 };
 
 struct FlowSpec {

@@ -1,9 +1,9 @@
-// Recovery drills for the fault-tolerant control plane: allocator
-// kill/restart with agent-side replay (warm restart), disconnect storms
-// that must leak nothing, rate leases decaying to the fallback under a
-// black-holed network, and dead-peer culling via heartbeats. Everything
-// is driven deterministically: manual allocation rounds, seeded backoff
-// jitter, and the FaultJail proxy for in-flight faults.
+// Recovery drills for the fault-tolerant control plane over real
+// sockets: allocator kill/restart with agent-side replay (warm
+// restart), disconnect storms that must leak nothing, and dead-peer
+// culling via heartbeats, driven by manual allocation rounds and seeded
+// backoff jitter. The lease and frame-drop drills run on virtual time,
+// against SimTransport's faults (tests/sim_transport_test.cc).
 #include <gtest/gtest.h>
 
 #include <dirent.h>
@@ -24,7 +24,6 @@
 #include "core/allocator.h"
 #include "net/client.h"
 #include "net/epoll_loop.h"
-#include "net/faultjail.h"
 #include "net/frame.h"
 #include "net/server.h"
 #include "topo/clos.h"
@@ -39,12 +38,6 @@ topo::ClosConfig small_clos() {
   cfg.spines = 2;
   cfg.fabric_link_bps = 20e9;
   return cfg;
-}
-
-std::vector<double> caps_of(const topo::ClosTopology& clos) {
-  std::vector<double> caps;
-  for (const auto& l : clos.graph().links()) caps.push_back(l.capacity_bps);
-  return caps;
 }
 
 core::AllocatorConfig alloc_cfg() {
@@ -87,7 +80,7 @@ std::vector<Flow> make_flows(const topo::ClosTopology& clos, Rng& rng,
 std::vector<std::uint16_t> reference_codes(const topo::ClosTopology& clos,
                                            const std::vector<Flow>& flows,
                                            int iters) {
-  core::Allocator ref(caps_of(clos), alloc_cfg());
+  core::Allocator ref(clos.graph().capacities(), alloc_cfg());
   for (const Flow& fl : flows) {
     const auto p =
         clos.host_path(clos.host(fl.src), clos.host(fl.dst), fl.key);
@@ -137,7 +130,8 @@ TEST_P(KillRestartTest, WarmRestartRebuildsFromReplay) {
   const int num_shards = GetParam();
 
   EpollLoop loop;
-  auto alloc = std::make_unique<core::Allocator>(caps_of(clos), alloc_cfg());
+  auto alloc = std::make_unique<core::Allocator>(clos.graph().capacities(),
+                                                 alloc_cfg());
   ServerConfig scfg;
   scfg.tcp_port = 0;
   scfg.iteration_period_us = 0;
@@ -192,7 +186,8 @@ TEST_P(KillRestartTest, WarmRestartRebuildsFromReplay) {
   // updates must never vanish silently).
   ASSERT_TRUE(agents[0]->flowlet_start(9000, 0, 5));
   svc.reset();
-  alloc = std::make_unique<core::Allocator>(caps_of(clos), alloc_cfg());
+  alloc = std::make_unique<core::Allocator>(clos.graph().capacities(),
+                                            alloc_cfg());
 
   // Every agent notices the dead socket and enters backoff.
   ASSERT_TRUE(pump_until(loop, raw, [&] {
@@ -315,7 +310,7 @@ TEST_F(RecoveryTest, DisconnectStormLeaksNothing) {
   // end every owned flow, free every slot and fd, and leave no stuck
   // key_owner entry -- proven by re-registering the exact same keys.
   const topo::ClosTopology clos(small_clos());
-  core::Allocator alloc(caps_of(clos), alloc_cfg());
+  core::Allocator alloc(clos.graph().capacities(), alloc_cfg());
 
   EpollLoop loop;
   ServerConfig scfg;
@@ -395,120 +390,12 @@ TEST_F(RecoveryTest, DisconnectStormLeaksNothing) {
   EXPECT_EQ(s.protocol_errors, 0u);
 }
 
-TEST_F(RecoveryTest, LeaseExpiryDecaysToFallbackThenReclaims) {
-  // The paper's failure story end-to-end: black-hole the network (100%
-  // of updates and heartbeats dropped -- the >= 50% acceptance case)
-  // and the agent must stop trusting its allocation, decay to the safe
-  // fallback rate, fire the FallbackPolicy hook, and hand the flow back
-  // on the first fresh update once the network heals.
-  const topo::ClosTopology clos(small_clos());
-  core::Allocator alloc(caps_of(clos), alloc_cfg());
-
-  EpollLoop loop;
-  ServerConfig scfg;
-  scfg.tcp_port = 0;
-  scfg.iteration_period_us = 0;
-  scfg.heartbeat_period_us = 5'000;
-  scfg.rate_lease_us = 50'000;
-  AllocatorService svc(loop, alloc, clos, scfg);
-
-  FaultJailConfig jcfg;
-  jcfg.upstream_port = svc.tcp_port();
-  jcfg.seed = 42;
-  FaultJail jail(loop, jcfg);
-
-  constexpr double kFallbackBps = 5e6;
-  struct HookEvent {
-    std::uint32_t key;
-    double rate_bps;
-    bool entering;
-  };
-  std::vector<HookEvent> hook_events;
-  AgentConfig acfg;
-  acfg.fallback_rate_bps = kFallbackBps;
-  acfg.fallback_decay = 0.5;
-  acfg.fallback_decay_interval_us = 2'000;
-  acfg.on_fallback = [&](std::uint32_t key, double bps, bool entering) {
-    hook_events.push_back({key, bps, entering});
-  };
-  EndpointAgent agent(acfg);
-  ASSERT_TRUE(agent.connect_tcp("127.0.0.1", jail.port()));
-  std::vector<EndpointAgent*> raw = {&agent};
-
-  ASSERT_TRUE(agent.flowlet_start(7, 0, 5));
-  ASSERT_TRUE(agent.flowlet_start(8, 1, 9));
-  agent.flush();
-  ASSERT_TRUE(pump_until(loop, raw, [&] {
-    svc.run_allocation_round();
-    return alloc.num_active_flowlets() == 2 && agent.rate_bps(7) > 0.0 &&
-           agent.rate_bps(8) > 0.0;
-  }));
-  const std::uint16_t healthy_code7 = agent.rate_code(7);
-  ASSERT_GT(agent.rate_bps(7), kFallbackBps);
-
-  // Heartbeats arm the lease.
-  ASSERT_TRUE(pump_until(loop, raw, [&] { return agent.lease_fresh(); }));
-  EXPECT_EQ(agent.conn_state(), ConnState::kConnected);
-
-  // --- Partition: sockets stay up, nothing gets through.
-  jail.set_black_hole(true);
-  ASSERT_TRUE(pump_until(loop, raw, [&] {
-    svc.run_allocation_round();
-    return agent.conn_state() == ConnState::kDegraded;
-  }));
-  EXPECT_EQ(agent.stats().lease_expiries, 1u);
-  EXPECT_FALSE(agent.lease_fresh());
-
-  // Rates decay multiplicatively down to the fallback floor, and the
-  // hook reported the handover exactly once per flow.
-  ASSERT_TRUE(pump_until(loop, raw, [&] {
-    return agent.rate_bps(7) <= kFallbackBps * 1.001 &&
-           agent.rate_bps(8) <= kFallbackBps * 1.001;
-  }));
-  EXPECT_GE(agent.rate_bps(7), kFallbackBps * 0.999);
-  {
-    std::size_t entered7 = 0;
-    std::size_t entered8 = 0;
-    for (const HookEvent& e : hook_events) {
-      ASSERT_TRUE(e.entering);
-      if (e.key == 7) ++entered7;
-      if (e.key == 8) ++entered8;
-    }
-    EXPECT_EQ(entered7, 1u);
-    EXPECT_EQ(entered8, 1u);
-  }
-
-  // --- Heal: heartbeats re-arm the lease; a fresh update (forced by
-  // invalidating the notification) reclaims each flow from fallback.
-  jail.set_black_hole(false);
-  ASSERT_TRUE(pump_until(loop, raw, [&] {
-    return agent.conn_state() == ConnState::kConnected &&
-           agent.lease_fresh();
-  }));
-  EXPECT_GT(agent.stats().heartbeats_received, 0u);
-  EXPECT_GT(agent.stats().degraded_us, 0);
-
-  alloc.invalidate_notification(7);
-  alloc.invalidate_notification(8);
-  ASSERT_TRUE(pump_until(loop, raw, [&] {
-    svc.run_allocation_round();
-    return hook_events.size() >= 4;
-  }));
-  std::size_t reclaimed = 0;
-  for (const HookEvent& e : hook_events) {
-    if (!e.entering) ++reclaimed;
-  }
-  EXPECT_EQ(reclaimed, 2u);
-  EXPECT_NEAR(agent.rate_code(7), healthy_code7, 2);
-  EXPECT_GT(agent.rate_bps(7), kFallbackBps);
-}
-
 TEST_F(RecoveryTest, PeerTimeoutCullsSilentPeerNotHeartbeatingAgent) {
   // Dead-peer detection in O(heartbeat): a connection that goes silent
   // is culled after peer_timeout_us and its flows freed, while an agent
   // that heartbeats (but has no flowlet churn at all) stays connected.
   const topo::ClosTopology clos(small_clos());
-  core::Allocator alloc(caps_of(clos), alloc_cfg());
+  core::Allocator alloc(clos.graph().capacities(), alloc_cfg());
 
   EpollLoop loop;
   ServerConfig scfg;
@@ -573,68 +460,6 @@ TEST_F(RecoveryTest, PeerTimeoutCullsSilentPeerNotHeartbeatingAgent) {
   EXPECT_GT(svc.stats().heartbeats_received, 0u);
   EXPECT_GT(svc.stats().heartbeats_sent, 0u);
   ::close(silent);
-}
-
-TEST_F(RecoveryTest, FaultJailDropsWholeFramesDeterministically) {
-  // The drill instrument itself: downstream frame drops are whole-frame
-  // (the agent's parser never sees a torn stream) and seeded (same drop
-  // pattern every run).
-  const topo::ClosTopology clos(small_clos());
-  core::Allocator alloc(caps_of(clos), alloc_cfg());
-
-  EpollLoop loop;
-  ServerConfig scfg;
-  scfg.tcp_port = 0;
-  scfg.iteration_period_us = 0;
-  AllocatorService svc(loop, alloc, clos, scfg);
-
-  FaultJailConfig jcfg;
-  jcfg.upstream_port = svc.tcp_port();
-  jcfg.seed = 7;
-  jcfg.drop_down_frac = 0.5;
-  FaultJail jail(loop, jcfg);
-
-  EndpointAgent agent;
-  ASSERT_TRUE(agent.connect_tcp("127.0.0.1", jail.port()));
-  std::vector<EndpointAgent*> raw = {&agent};
-  for (std::uint32_t key = 1; key <= 8; ++key) {
-    ASSERT_TRUE(agent.flowlet_start(
-        key, static_cast<std::uint16_t>(key % 16),
-        static_cast<std::uint16_t>((key + 5) % 16)));
-  }
-  agent.flush();
-  ASSERT_TRUE(pump_until(loop, raw, [&] {
-    return alloc.num_active_flowlets() == 8;
-  }));
-
-  for (int i = 0; i < 200; ++i) {
-    svc.run_allocation_round();
-    loop.run_once(0);
-    agent.poll();
-  }
-  // Deadline-poll until every flow's rate landed (threshold 0 keeps
-  // re-emitting dropped notifications round by round) rather than
-  // trusting a fixed drain window on a loaded runner.
-  ASSERT_TRUE(pump_until(loop, raw, [&] {
-    svc.run_allocation_round();
-    for (std::uint32_t key = 1; key <= 8; ++key) {
-      if (agent.rate_bps(key) <= 0.0) return false;
-    }
-    return true;
-  }));
-
-  const FaultJailStats& js = jail.stats();
-  EXPECT_GT(js.frames_down, 20u);
-  EXPECT_GT(js.frames_dropped, js.frames_down / 4);
-  EXPECT_LT(js.frames_dropped, js.frames_down);
-  // Despite half the batches vanishing, the surviving stream parsed
-  // cleanly end to end and rates still landed (threshold 0 re-emits
-  // until each notified rate sticks... eventually every flow has one).
-  EXPECT_EQ(svc.stats().protocol_errors, 0u);
-  EXPECT_GT(agent.stats().updates_received, 0u);
-  for (std::uint32_t key = 1; key <= 8; ++key) {
-    EXPECT_GT(agent.rate_bps(key), 0.0) << "flow " << key;
-  }
 }
 
 }  // namespace

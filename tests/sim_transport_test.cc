@@ -4,22 +4,30 @@
 // the ControlPlaneHarness -- the real AllocatorService + EndpointAgents
 // on virtual time, including the two-run bit-identical-trajectory
 // regression and the virtual-clock ports of the recovery drills (lease
-// expiry, reconnect backoff spread) that the wall-clock recovery tests
-// can only assert with tolerance bands.
+// expiry and fallback, whole-frame drops, reconnect backoff spread),
+// which assert exact virtual instants where wall-clock drills would need
+// tolerance bands.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstring>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "core/allocator.h"
 #include "core/messages.h"
 #include "net/client.h"
+#include "net/server.h"
 #include "net/transport.h"
+#include "obs/metrics.h"
 #include "sim/control_plane_harness.h"
+#include "sim/sim_proxy.h"
 #include "sim/sim_transport.h"
+#include "topo/clos.h"
 
 namespace ft::sim {
 namespace {
@@ -287,6 +295,42 @@ TEST(SimTransportTest, PairTeardownWithBytesInFlightBothWays) {
   EXPECT_EQ(errno, EAGAIN);
 }
 
+// A client writes a whole frame while the proxy's upstream is down
+// (mid-redial) and then hangs up. The frame reached the proxy but can
+// never be forwarded: it must be counted as discarded on close, so every
+// byte the proxy reads is forwarded or named.
+TEST(SimTransportTest, ProxyCountsBytesDiscardedOnClose) {
+  EventQueue q;
+  SimTransport tr(q);
+  SimProxy::Config pc;
+  pc.upstream_port = 9999;  // nothing bound: every dial is refused
+  SimProxy proxy(tr, pc);
+  obs::MetricsRegistry reg;
+  proxy.bind_metrics(reg, "vip");
+  const int client = tr.connect_tcp("sim", proxy.port());
+  ASSERT_GT(client, 0);
+  q.run_until(q.now() + 50 * kMicrosecond);  // accepted, dial refused
+  ASSERT_EQ(proxy.num_sessions(), 1u);
+  ASSERT_EQ(proxy.num_upstreams(), 0u);
+
+  const std::vector<std::uint8_t> frame = {1, 0, 0, 0, 5};  // 1-byte
+  // payload: a heartbeat record tag
+  ASSERT_EQ(tr.write(client, frame.data(), frame.size()),
+            static_cast<std::int64_t>(frame.size()));
+  tr.close(client);
+  q.run_until(q.now() + 50 * kMicrosecond);
+  EXPECT_EQ(proxy.num_sessions(), 0u);
+  EXPECT_EQ(proxy.stats().clients_closed, 1u);
+  EXPECT_EQ(tr.stats().bytes_delivered,
+            static_cast<std::int64_t>(frame.size()));  // into the proxy
+  EXPECT_EQ(proxy.stats().bytes_up, 0);
+  EXPECT_EQ(proxy.stats().bytes_discarded_resync, 0);
+  EXPECT_EQ(proxy.stats().bytes_discarded_on_close,
+            static_cast<std::int64_t>(frame.size()));
+  EXPECT_EQ(reg.counter("vip.bytes_discarded_on_close").value(),
+            frame.size());
+}
+
 TEST(SimTransportTest, SieveAttributesDroppedRecordsByType) {
   Pipe p;
   p.establish();
@@ -433,7 +477,7 @@ TEST(ControlPlaneHarnessTest, CleanTrajectoryIsPinned) {
 TEST(ControlPlaneHarnessTest, FaultedTrajectoryIsPinned) {
   ControlPlaneHarness h(small_cfg(17));
   ASSERT_TRUE(h.run_to_convergence().converged);
-  h.kill_connections();
+  h.transport().kill_all();
   const ConvergeStats st = h.run_to_convergence();
   ASSERT_TRUE(st.converged);
   EXPECT_EQ(st.trajectory_hash, 0x44c5cf4e525d3e6cULL);
@@ -458,7 +502,7 @@ TEST(ControlPlaneHarnessTest, DifferentSeedsDiverge) {
 TEST(ControlPlaneHarnessTest, ReconnectStormSpreadsBackoff) {
   ControlPlaneHarness h(small_cfg(5));
   ASSERT_TRUE(h.run_to_convergence().converged);
-  h.kill_connections();
+  h.transport().kill_all();
   h.run_for(500'000);  // enough virtual time to re-dial everyone
   std::set<std::int64_t> backoffs;
   int reconnected = 0;
@@ -506,7 +550,7 @@ TEST(ControlPlaneHarnessTest, LeaseExpiresOnVirtualClockUnderBlackHole) {
   for (int i = 0; i < h.num_agents(); ++i) {
     ASSERT_TRUE(h.agent(i).lease_fresh()) << "agent " << i;
   }
-  h.set_black_hole(true);
+  h.transport().set_black_hole(true);
   // The last heartbeat landed within the previous 10ms, so every lease
   // deadline sits in (t0+40ms, t0+50ms]: at t0+20ms all still fresh...
   h.run_for(20'000);
@@ -523,6 +567,215 @@ TEST(ControlPlaneHarnessTest, LeaseExpiresOnVirtualClockUnderBlackHole) {
     expiries += h.agent(i).stats().lease_expiries;
   }
   EXPECT_EQ(expiries, static_cast<std::uint64_t>(h.num_agents()));
+}
+
+// ---------------------------------------------------------------------
+// Recovery drills on virtual time: one real AllocatorService and one
+// real EndpointAgent on the SimTransport (wired as ControlPlaneHarness
+// wires them), allocation rounds run by hand, faults injected into the
+// transport.
+// ---------------------------------------------------------------------
+
+struct DrillPlane {
+  static constexpr std::int64_t kStepUs = 500;  // between agent polls
+
+  EventQueue q;
+  SimTransport tr;
+  SimLoop loop{tr};
+  topo::ClosTopology clos{{.racks = 4,
+                           .servers_per_rack = 4,
+                           .spines = 2,
+                           .fabric_link_bps = 20e9}};
+  // Threshold 0: every rate change is notified.
+  core::Allocator alloc{clos.graph().capacities(), {.threshold = 0.0}};
+  net::AllocatorService svc;
+  net::EndpointAgent agent;
+  // Virtual time of the last poll that received a heartbeat or a rate
+  // update, i.e. that re-armed the agent's lease.
+  std::int64_t last_rx_us = 0;
+
+  DrillPlane(std::uint64_t seed, std::int64_t heartbeat_us,
+             std::int64_t lease_us, net::AgentConfig acfg)
+      : tr(q, seed),
+        svc(loop, alloc, clos,
+            [&] {
+              net::ServerConfig c;
+              c.transport = &tr;
+              c.tcp_port = 0;
+              c.iteration_period_us = 0;
+              c.heartbeat_period_us = heartbeat_us;
+              c.rate_lease_us = lease_us;
+              return c;
+            }()),
+        agent([&] {
+          acfg.transport = &tr;
+          return std::move(acfg);
+        }()) {
+    EXPECT_TRUE(agent.connect_tcp("sim", svc.tcp_port()));
+  }
+
+  [[nodiscard]] std::int64_t now_us() const { return q.now() / kMicrosecond; }
+
+  // Advances virtual time one step, then polls the agent.
+  void step() {
+    const net::AgentStats& st = agent.stats();
+    const std::uint64_t rx0 = st.heartbeats_received + st.updates_received;
+    loop.run_once(kStepUs);
+    agent.poll();
+    if (st.heartbeats_received + st.updates_received != rx0) {
+      last_rx_us = now_us();
+    }
+  }
+  // Steps (after an allocation round, if `rounds`) until `cond` holds;
+  // false if `budget_us` of virtual time passes first.
+  template <class Cond>
+  bool run_until(bool rounds, Cond cond,
+                 std::int64_t budget_us = 1'000'000) {
+    const std::int64_t deadline = now_us() + budget_us;
+    while (!cond()) {
+      if (now_us() >= deadline) return false;
+      if (rounds) svc.run_allocation_round();
+      step();
+    }
+    return true;
+  }
+};
+
+// Black-hole the network: the agent must stop trusting its allocation,
+// decay to the safe fallback, fire the FallbackPolicy hook once per
+// flow, and hand both flows back on the first fresh update once the
+// network heals. Every instant below is an exact virtual quantity.
+TEST(SimRecoveryTest, LeaseExpiryDecaysToFallbackThenReclaims) {
+  constexpr std::int64_t kHeartbeatUs = 5'000;
+  constexpr std::int64_t kLeaseUs = 50'000;
+  constexpr std::int64_t kDecayUs = 2'000;
+  constexpr double kFallbackBps = 5e6;
+  using Hooks = std::vector<std::pair<std::uint32_t, bool>>;
+  Hooks hooks;  // (key, entering), in call order
+  net::AgentConfig acfg;
+  acfg.fallback_rate_bps = kFallbackBps;
+  acfg.fallback_decay = 0.5;
+  acfg.fallback_decay_interval_us = kDecayUs;
+  acfg.on_fallback = [&](std::uint32_t key, double, bool entering) {
+    hooks.emplace_back(key, entering);
+  };
+  DrillPlane p(42, kHeartbeatUs, kLeaseUs, acfg);
+  net::EndpointAgent& agent = p.agent;
+
+  ASSERT_TRUE(agent.flowlet_start(7, 0, 5));
+  ASSERT_TRUE(agent.flowlet_start(8, 1, 9));
+  agent.flush();
+  ASSERT_TRUE(p.run_until(true, [&] {
+    return agent.lease_fresh() && agent.rate_bps(7) > 0.0 &&
+           agent.rate_bps(8) > 0.0;
+  }));
+  for (int i = 0; i < 100; ++i) {  // converge
+    p.svc.run_allocation_round();
+    p.step();
+  }
+  ASSERT_TRUE(agent.lease_fresh());
+  const std::uint16_t healthy_code7 = agent.rate_code(7);
+  ASSERT_GT(agent.rate_bps(7), kFallbackBps);
+
+  // --- Partition: streams stay up, nothing gets through. The lease
+  // expires at last_rx_us + lease; the next poll degrades the agent.
+  p.tr.set_black_hole(true);
+  double r7 = 0.0;  // rates at the last poll before degrading
+  double r8 = 0.0;
+  ASSERT_TRUE(p.run_until(true, [&] {
+    if (agent.conn_state() == net::ConnState::kDegraded) return true;
+    r7 = agent.rate_bps(7);
+    r8 = agent.rate_bps(8);
+    return false;
+  }));
+  const std::int64_t degraded_at = p.now_us();
+  EXPECT_EQ(degraded_at, p.last_rx_us + kLeaseUs + DrillPlane::kStepUs);
+  EXPECT_EQ(agent.stats().lease_expiries, 1u);
+  EXPECT_FALSE(agent.lease_fresh());
+
+  // Rates halve on the degrading poll and every decay interval after
+  // it, down to exactly the fallback floor; the hook reported the
+  // handover once per flow, on entry.
+  for (int k = 1; agent.rate_bps(7) > kFallbackBps ||
+                  agent.rate_bps(8) > kFallbackBps;
+       ++k) {
+    ASSERT_LT(k, 64);
+    EXPECT_EQ(agent.rate_bps(7), std::max(kFallbackBps, std::ldexp(r7, -k)));
+    EXPECT_EQ(agent.rate_bps(8), std::max(kFallbackBps, std::ldexp(r8, -k)));
+    for (int i = 0; i < kDecayUs / DrillPlane::kStepUs; ++i) p.step();
+  }
+  EXPECT_EQ(agent.rate_bps(7), kFallbackBps);
+  EXPECT_EQ(agent.rate_bps(8), kFallbackBps);
+  const Hooks entered = {{7, true}, {8, true}};
+  EXPECT_TRUE(std::is_permutation(hooks.begin(), hooks.end(),
+                                  entered.begin(), entered.end()));
+
+  // --- Heal: the next heartbeat (at most one period away) re-arms the
+  // lease; the degraded time is exactly the span between the two polls.
+  p.tr.set_black_hole(false);
+  const std::uint64_t hb0 = agent.stats().heartbeats_received;
+  ASSERT_TRUE(p.run_until(
+      false, [&] { return agent.lease_fresh(); },
+      kHeartbeatUs + DrillPlane::kStepUs));
+  EXPECT_EQ(agent.conn_state(), net::ConnState::kConnected);
+  EXPECT_EQ(agent.stats().heartbeats_received, hb0 + 1);
+  EXPECT_EQ(agent.stats().degraded_us, p.now_us() - degraded_at);
+
+  // A fresh update (forced by invalidating the notification) reclaims
+  // each flow from fallback within one round, at its old rate.
+  p.alloc.invalidate_notification(7);
+  p.alloc.invalidate_notification(8);
+  ASSERT_TRUE(p.run_until(true, [&] { return hooks.size() >= 4; },
+                          DrillPlane::kStepUs));
+  ASSERT_EQ(hooks.size(), 4u);
+  const Hooks reclaimed = {{7, false}, {8, false}};
+  EXPECT_TRUE(std::is_permutation(hooks.begin() + 2, hooks.end(),
+                                  reclaimed.begin(), reclaimed.end()));
+  EXPECT_EQ(agent.rate_code(7), healthy_code7);
+}
+
+// Half the service->agent frames die, but whole frames only (the
+// agent's parser never sees a torn stream) and seeded (the same frames
+// die on every run), with every lost byte accounted.
+TEST(SimRecoveryTest, DropSieveDropsWholeFramesDeterministically) {
+  const auto drill = [] {
+    DrillPlane p(7, 0, 0, {});
+    p.tr.set_drop_down_frac(0.5);
+    for (std::uint32_t key = 1; key <= 8; ++key) {
+      EXPECT_TRUE(p.agent.flowlet_start(
+          key, static_cast<std::uint16_t>(key % 16),
+          static_cast<std::uint16_t>((key + 5) % 16)));
+    }
+    p.agent.flush();
+    EXPECT_TRUE(p.run_until(
+        false, [&] { return p.alloc.num_active_flowlets() == 8; }));
+    for (int i = 0; i < 200; ++i) {
+      p.svc.run_allocation_round();
+      p.step();
+    }
+    // Threshold 0 re-emits dropped notifications round by round until
+    // every flow's rate has landed.
+    EXPECT_TRUE(p.run_until(true, [&] {
+      for (std::uint32_t key = 1; key <= 8; ++key) {
+        if (p.agent.rate_bps(key) <= 0.0) return false;
+      }
+      return true;
+    }));
+    EXPECT_EQ(p.svc.stats().protocol_errors, 0u);
+    EXPECT_EQ(p.agent.stats().disconnects, 0u);
+    EXPECT_TRUE(conserved(p.tr));
+    return p.tr.stats();
+  };
+  const SimTransportStats a = drill();
+  EXPECT_GT(a.frames_down, 20u);
+  EXPECT_GT(a.frames_dropped, a.frames_down / 4);
+  EXPECT_LT(a.frames_dropped, a.frames_down);
+  EXPECT_GT(a.records_dropped_rate, 0u);
+  const SimTransportStats b = drill();  // seeded: the same frames die
+  EXPECT_EQ(b.frames_down, a.frames_down);
+  EXPECT_EQ(b.frames_dropped, a.frames_dropped);
+  EXPECT_EQ(b.bytes_dropped_sieve, a.bytes_dropped_sieve);
+  EXPECT_EQ(b.bytes_delivered, a.bytes_delivered);
 }
 
 }  // namespace

@@ -49,14 +49,6 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace ft::core {
 namespace {
 
-std::vector<double> caps_of(const topo::ClosTopology& clos) {
-  std::vector<double> caps;
-  for (const auto& l : clos.graph().links()) {
-    caps.push_back(l.capacity_bps);
-  }
-  return caps;
-}
-
 topo::ClosTopology small_clos() {
   topo::ClosConfig cfg;
   cfg.racks = 8;
@@ -94,7 +86,7 @@ std::uint64_t allocations_during_rounds(Allocator& alloc, int rounds,
 
 TEST(ZeroAllocTest, SequentialSteadyStateRoundsAreAllocationFree) {
   const auto clos = small_clos();
-  Allocator alloc(caps_of(clos), AllocatorConfig{});
+  Allocator alloc(clos.graph().capacities(), AllocatorConfig{});
   start_random_flows(alloc, clos, 300, 1);
   std::vector<RateUpdate> out;
   // Warm up: sizes every scratch vector and the recycled out-vector.
@@ -111,7 +103,7 @@ TEST(ZeroAllocTest, SequentialZeroThresholdEmitsEveryRoundStillAllocFree) {
   const auto clos = small_clos();
   AllocatorConfig cfg;
   cfg.threshold = 0.0;
-  Allocator alloc(caps_of(clos), cfg);
+  Allocator alloc(clos.graph().capacities(), cfg);
   start_random_flows(alloc, clos, 300, 1);
   std::vector<RateUpdate> out;
   for (int i = 0; i < 5; ++i) {
@@ -127,7 +119,7 @@ TEST(ZeroAllocTest, ParallelBackendSteadyStateRoundsAreAllocationFree) {
   const auto clos = small_clos();
   ParallelConfig pcfg;
   pcfg.num_threads = 2;
-  Allocator alloc(caps_of(clos), AllocatorConfig{},
+  Allocator alloc(clos.graph().capacities(), AllocatorConfig{},
                   parallel_backend(topo::BlockPartition::make(clos, 4),
                                    pcfg));
   start_random_flows(alloc, clos, 300, 1);
@@ -150,7 +142,7 @@ TEST(ZeroAllocTest, MetricsAndTracingEnabledRoundsStayAllocationFree) {
   AllocatorConfig cfg;
   cfg.metrics = &reg;
   cfg.threshold = 0.0;  // maximum emission volume per round
-  Allocator alloc(caps_of(clos), cfg);
+  Allocator alloc(clos.graph().capacities(), cfg);
   start_random_flows(alloc, clos, 300, 1);
   obs::PhaseTracer::set_enabled(true);
   std::vector<RateUpdate> out;
@@ -174,7 +166,7 @@ TEST(ZeroAllocTest, ChurnSpikeReservesUpFrontNotMidRound) {
   const auto clos = small_clos();
   AllocatorConfig cfg;
   cfg.threshold = 0.0;
-  Allocator alloc(caps_of(clos), cfg);
+  Allocator alloc(clos.graph().capacities(), cfg);
   start_random_flows(alloc, clos, 200, 1);
   std::vector<RateUpdate> out;
   for (int i = 0; i < 5; ++i) {
@@ -251,7 +243,7 @@ TEST(ZeroAllocTest, ReserveMakesChurnAllocationFree) {
   // notification state: flowlet churn below the reserved size performs
   // no allocation at all once the per-link adjacency lists are warm.
   const auto clos = small_clos();
-  Allocator alloc(caps_of(clos), AllocatorConfig{});
+  Allocator alloc(clos.graph().capacities(), AllocatorConfig{});
   alloc.reserve(1024);
   // Pre-resolve the routes so the measured region is pure allocator churn.
   Rng rng(7);

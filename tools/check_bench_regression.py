@@ -41,11 +41,12 @@ HIGHER_SUFFIXES = ("per_sec", "_pps", "speedup", "precision", "recall")
 LOWER_SUFFIXES = ("_us", "_ns", "ns_per_iter")
 # stall_us / stall_every_rounds are the flight-demo's *injected* stall
 # config, not measurements; sample_every is the tracing rate.
-# reclaim_us (recovery drill: lease re-arm after drops stop) is one
-# heartbeat of scheduler noise -- tens of microseconds -- so a 35% band
-# is meaningless; the drill's tracked numbers are reconnect_p50_us/
-# reconnect_p99_us/reconverge_us, which are dominated by the seeded
-# backoff schedule and stay comparable across runs.
+# reclaim_us (recovery drill: lease re-arm after drops stop, on virtual
+# time) is about one heartbeat period by construction -- a protocol
+# constant, not a speed -- so a 35% band is meaningless; the drill's
+# tracked numbers are reconnect_p50_us/reconnect_p99_us/reconverge_us,
+# which are dominated by the seeded backoff schedule and stay
+# comparable across runs.
 # virtual_over_wall_speedup divides deterministic virtual time by this
 # machine's wall time, so it tracks runner speed, not the code; the
 # deterministic sim_* metrics next to it are what the gate watches.
