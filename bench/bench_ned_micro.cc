@@ -4,6 +4,12 @@
 // message-codec throughput. These are the per-iteration costs behind the
 // §6.1 table.
 //
+// Rows that pin the parallel engine's thread count also carry its
+// deterministic cost, cost.par.barriers_per_iter: the same on every
+// machine, so the CI baseline diff gates it exactly. The solve_shape
+// rows run flowbench solve_par's problem shape (1024 hosts, 100k flows)
+// through the sequential NED + F-NORM and the 8x8 engine side by side.
+//
 // Self-contained on bench_util timers (no Google Benchmark dependency,
 // so it always builds) and emits BENCH_ned_micro.json for the CI
 // baseline diff:
@@ -44,6 +50,7 @@ struct Case {
   double ns_per_iter = 0.0;
   double items_per_sec = 0.0;
   std::int64_t iters = 0;
+  std::int32_t barriers_per_iter = -1;  // parallel rows at fixed threads
 };
 
 // Runs `body` (which returns items processed per call) until `min_ms`
@@ -139,13 +146,16 @@ Case bench_f_norm(std::int32_t num_flows, bool from_alloc,
       });
 }
 
-Case bench_parallel_iteration(std::int32_t blocks, bool pin,
-                              double min_ms) {
-  Instance inst(768, 6144, blocks);
+// threads == 0: hardware_concurrency workers, so only the time is
+// reported; a fixed thread count also reports the barrier cost.
+Case bench_parallel_iteration(const Instance& inst, std::int32_t blocks,
+                              std::int32_t threads, bool pin,
+                              const std::string& name, double min_ms) {
   const auto part = topo::BlockPartition::make(inst.clos, blocks);
   core::NumProblem p(inst.caps);
   core::ParallelConfig cfg;
   cfg.num_blocks = blocks;
+  cfg.num_threads = threads;
   cfg.pin.enable = pin;
   core::ParallelNed engine(p, part, cfg);
   for (const auto& [route, bl] : inst.flows) {
@@ -153,12 +163,31 @@ Case bench_parallel_iteration(std::int32_t blocks, bool pin,
         p.add_flow(route, core::Utility::log_utility());
     engine.assign_flow(idx, bl.first, bl.second);
   }
-  return run_case(
-      bench::fmt("parallel_iteration/%d%s", blocks, pin ? "/pinned" : ""),
-      min_ms, [&] {
-        engine.iterate();
-        return static_cast<double>(inst.flows.size());
-      });
+  Case c = run_case(name, min_ms, [&] {
+    engine.iterate();
+    return static_cast<double>(inst.flows.size());
+  });
+  if (threads > 0) c.barriers_per_iter = engine.barriers_per_iter();
+  return c;
+}
+
+// One sequential NED iteration plus the fused F-NORM, as the sequential
+// backend runs a round.
+Case bench_ned_fnorm(const Instance& inst, const std::string& name,
+                     double min_ms) {
+  core::NumProblem p(inst.caps);
+  for (const auto& [route, blocks] : inst.flows) {
+    p.add_flow(route, core::Utility::log_utility());
+  }
+  core::NedSolver ned(p);
+  std::vector<double> out(p.num_slots());
+  core::NormScratch scratch;
+  return run_case(name, min_ms, [&] {
+    ned.iterate();
+    core::f_norm_from_alloc(p, ned.rates(), ned.link_alloc(),
+                            ned.link_fixed(), out, scratch);
+    return static_cast<double>(inst.flows.size());
+  });
 }
 
 Case bench_rate_codec(double min_ms) {
@@ -229,20 +258,52 @@ int main(int argc, char** argv) {
   }
   for (const std::int32_t blocks : {1, 2, 4, 8}) {
     if (quick && blocks > 4) continue;
-    cases.push_back(bench_parallel_iteration(blocks, false, min_ms));
-    if (pin) cases.push_back(bench_parallel_iteration(blocks, true, min_ms));
+    const Instance inst(768, 6144, blocks);
+    cases.push_back(bench_parallel_iteration(
+        inst, blocks, 0, false, bench::fmt("parallel_iteration/%d", blocks),
+        min_ms));
+    if (pin) {
+      cases.push_back(bench_parallel_iteration(
+          inst, blocks, 0, true,
+          bench::fmt("parallel_iteration/%d/pinned", blocks), min_ms));
+    }
+  }
+  // Fixed (grid side, threads) rows: their barrier cost is gated.
+  for (const auto& [blocks, threads] :
+       {std::pair{8, 2}, std::pair{8, 1}, std::pair{8, 8}, std::pair{4, 16},
+        std::pair{2, 2}}) {
+    const Instance inst(768, 6144, blocks);
+    cases.push_back(bench_parallel_iteration(
+        inst, blocks, threads, false,
+        bench::fmt("parallel_iteration/%dx%d/t%d", blocks, blocks, threads),
+        min_ms));
+  }
+  {
+    // flowbench solve_par's shape: 64 racks x 16 hosts, 100k flows.
+    const Instance shape(1024, 100000, 8);
+    cases.push_back(
+        bench_ned_fnorm(shape, "solve_shape/1024/100000/seq", min_ms));
+    for (const std::int32_t threads : {1, 2}) {
+      cases.push_back(bench_parallel_iteration(
+          shape, 8, threads, false,
+          bench::fmt("solve_shape/1024/100000/8x8/t%d", threads), min_ms));
+    }
   }
   cases.push_back(bench_rate_codec(min_ms));
   cases.push_back(bench_message_codec(min_ms));
 
-  bench::Table table({"case", "time/iter", "items/sec", "iters"});
+  bench::Table table(
+      {"case", "time/iter", "items/sec", "iters", "barriers/iter"});
   for (const Case& c : cases) {
     table.add_row({c.name,
                    c.ns_per_iter >= 1e6
                        ? bench::fmt("%.0f us", c.ns_per_iter / 1e3)
                        : bench::fmt("%.0f ns", c.ns_per_iter),
                    bench::fmt("%.3gM", c.items_per_sec / 1e6),
-                   bench::fmt("%lld", static_cast<long long>(c.iters))});
+                   bench::fmt("%lld", static_cast<long long>(c.iters)),
+                   c.barriers_per_iter >= 0
+                       ? bench::fmt("%d", c.barriers_per_iter)
+                       : std::string("-")});
   }
   table.print();
 
@@ -254,6 +315,9 @@ int main(int argc, char** argv) {
       j.set("name", c.name);
       j.set("ns_per_iter", c.ns_per_iter);
       j.set("items_per_sec", c.items_per_sec);
+      if (c.barriers_per_iter >= 0) {
+        j.set("cost.par.barriers_per_iter", c.barriers_per_iter);
+      }
     }
     json.write_file(json_path);
   }

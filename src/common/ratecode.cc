@@ -1,7 +1,7 @@
 #include "common/ratecode.h"
 
 #include <array>
-#include <cmath>
+#include <bit>
 
 namespace ft {
 namespace {
@@ -17,32 +17,30 @@ constexpr int kMaxExponent = 31;
 }  // namespace
 
 std::uint16_t encode_rate(double rate_bps) {
-  if (!(rate_bps > 0.0)) return 0;
-  double units = rate_bps / kGranularityBps;
-  if (units < 1.0) return 0;
+  if (!(rate_bps > 0.0)) return 0;  // zero, negative or NaN
+  const double units = rate_bps / kGranularityBps;
   if (units < static_cast<double>(1u << kMantissaBits)) {
-    // Denormal range: exponent 0, direct value.
+    // Denormal range: exponent 0, direct value (0 below 1 Kbit/s).
     return static_cast<std::uint16_t>(units);
   }
-  int e = 0;
-  while (units >= static_cast<double>(1u << (kMantissaBits + 1)) &&
-         e < kMaxExponent) {
-    units /= 2.0;
-    ++e;
-  }
-  if (e == kMaxExponent &&
-      units >= static_cast<double>(1u << (kMantissaBits + 1))) {
-    // Clamp to max representable.
+  // units = 1.f * 2^(k + 11) with k >= 0, read straight from the bits;
+  // normal codes carry k + 1 in 5 bits, so k >= kMaxExponent (and +inf)
+  // clamps to the max representable rate.
+  const auto bits = std::bit_cast<std::uint64_t>(units);
+  const int k = static_cast<int>(bits >> 52) - 1023 - kMantissaBits;
+  if (k >= kMaxExponent) {
     return static_cast<std::uint16_t>((kMaxExponent << kMantissaBits) |
                                       kMantissaMask);
   }
-  // units in [2048, 4096): store low 11 bits, exponent e+1 marks normal.
-  const auto m =
-      static_cast<std::uint16_t>(static_cast<std::uint32_t>(units + 0.5) -
-                                 (1u << kMantissaBits));
-  const auto mm = static_cast<std::uint16_t>(
-      m > kMantissaMask ? kMantissaMask : m);
-  return static_cast<std::uint16_t>(((e + 1) << kMantissaBits) | mm);
+  // Exact scaling into [2048, 4096) by the power of two 2^-k.
+  const double scaled =
+      units * std::bit_cast<double>(static_cast<std::uint64_t>(1023 - k)
+                                    << 52);
+  const std::uint32_t m =
+      static_cast<std::uint32_t>(scaled + 0.5) - (1u << kMantissaBits);
+  const std::uint32_t mm = m > kMantissaMask ? kMantissaMask : m;
+  return static_cast<std::uint16_t>(
+      (static_cast<std::uint32_t>(k + 1) << kMantissaBits) | mm);
 }
 
 double decode_rate(std::uint16_t code) {

@@ -1,6 +1,7 @@
 #include "core/parallel.h"
 
 #include <algorithm>
+#include <array>
 
 #include "common/check.h"
 #include "obs/metrics.h"
@@ -35,7 +36,6 @@ ParallelNed::ParallelNed(NumProblem& problem,
                          ParallelConfig cfg)
     : problem_(problem),
       part_(partition),
-      schedule_(topo::AggregationSchedule::make(partition.num_blocks)),
       cfg_(cfg),
       n_(partition.num_blocks),
       num_workers_(n_ * n_),
@@ -45,18 +45,39 @@ ParallelNed::ParallelNed(NumProblem& problem,
       num_threads_(pick_threads(cfg.num_threads, num_workers_)),
       cpu_map_(CpuMap::make(std::max(n_, num_threads_), cfg.pin)),
       workers_(static_cast<std::size_t>(num_workers_)),
+      link_pos_(problem.num_links(), 0),
       global_price_(problem.num_links(), 1.0),
       global_alloc_(problem.num_links(), 0.0),
+      capacity_version_(problem.capacity_version()),
       start_barrier_(num_threads_ + 1),
       end_barrier_(num_threads_ + 1),
       phase_barrier_(num_threads_) {
   FT_CHECK(cfg.num_blocks == partition.num_blocks);
-  const std::size_t links = problem.num_links();
-  for (auto& w : workers_) {
-    w.price.assign(links, 1.0);
-    w.alloc.assign(links, 0.0);
-    w.dxdp.assign(links, 0.0);
-    w.ratio.assign(links, 0.0);
+  // Each link's index inside its LinkBlock: a worker's local index for
+  // it is that, offset by down_off for downward links.
+  std::size_t max_up = 0;
+  std::size_t max_down = 0;
+  for (std::int32_t b = 0; b < n_; ++b) {
+    for (const bool upward : {true, false}) {
+      const std::span<const LinkId> links = block_links(upward, b);
+      for (std::size_t i = 0; i < links.size(); ++i) {
+        link_pos_[links[i].value()] = static_cast<std::uint32_t>(i);
+      }
+      std::size_t& max_n = upward ? max_up : max_down;
+      max_n = std::max(max_n, links.size());
+    }
+  }
+  // Band-local routes hold local link indices as uint16_t.
+  FT_CHECK(max_up + max_down <= std::size_t{UINT16_MAX} + 1);
+  for (std::int32_t wi = 0; wi < num_workers_; ++wi) {
+    WorkerState& w = workers_[static_cast<std::size_t>(wi)];
+    const std::size_t up_n = block_links(true, wi / n_).size();
+    const std::size_t local = up_n + block_links(false, wi % n_).size();
+    w.down_off = static_cast<std::uint32_t>(up_n);
+    w.price.assign(local, 1.0);
+    w.alloc.assign(local, 0.0);
+    w.dxdp.assign(local, 0.0);
+    w.ratio.assign(local, 0.0);
   }
   last_band_ns_.assign(static_cast<std::size_t>(num_threads_), 0);
   band_begin_.resize(static_cast<std::size_t>(num_threads_) + 1);
@@ -64,6 +85,32 @@ ParallelNed::ParallelNed(NumProblem& problem,
     band_begin_[static_cast<std::size_t>(t)] =
         static_cast<std::int32_t>(static_cast<std::int64_t>(t) *
                                   num_workers_ / num_threads_);
+  }
+  const auto thread_of = [this](std::int32_t worker) {
+    return std::upper_bound(band_begin_.begin(), band_begin_.end(),
+                            worker) -
+           band_begin_.begin() - 1;
+  };
+  // The Figure 3 schedule as local ranges. An upward LinkBlock sits at
+  // offset 0 in every worker of its row; a downward one at each worker's
+  // own down_off.
+  for (const auto& transfers :
+       topo::AggregationSchedule::make(n_).steps) {
+    Step& step = steps_.emplace_back();
+    for (const topo::Transfer& tr : transfers) {
+      step.moves.push_back(Move{
+          tr.src_worker, tr.dst_worker,
+          tr.upward ? 0u
+                    : workers_[static_cast<std::size_t>(tr.src_worker)]
+                          .down_off,
+          tr.upward ? 0u
+                    : workers_[static_cast<std::size_t>(tr.dst_worker)]
+                          .down_off,
+          static_cast<std::uint32_t>(
+              block_links(tr.upward, tr.block).size())});
+      step.crosses = step.crosses ||
+                     thread_of(tr.src_worker) != thread_of(tr.dst_worker);
+    }
   }
   threads_.reserve(static_cast<std::size_t>(num_threads_));
   for (std::int32_t t = 0; t < num_threads_; ++t) {
@@ -77,20 +124,35 @@ ParallelNed::~ParallelNed() {
   // jthread joins on destruction.
 }
 
+std::int32_t ParallelNed::barriers_per_iter() const {
+  const auto crossing = std::count_if(
+      steps_.begin(), steps_.end(), [](const Step& s) { return s.crosses; });
+  // Start and end, plus one per crossing step each way.
+  return 2 + 2 * static_cast<std::int32_t>(crossing);
+}
+
 void ParallelNed::assign_flow(FlowIndex slot, std::int32_t src_block,
                               std::int32_t dst_block) {
   FT_CHECK(src_block >= 0 && src_block < n_);
   FT_CHECK(dst_block >= 0 && dst_block < n_);
   const FlowView f = problem_.flow(slot);
   FT_CHECK(f.active());
-  // Validate the partition property: up links in src block, down links in
-  // dst block (Figure 2).
-  for (std::uint32_t l : f.route()) {
+  const std::int32_t wi = src_block * n_ + dst_block;
+  WorkerState& w = workers_[static_cast<std::size_t>(wi)];
+  // Validate the partition property -- up links in the src block, down
+  // links in the dst block (Figure 2) -- while translating the route to
+  // the worker's local link indices.
+  const std::span<const std::uint32_t> route = f.route();
+  std::array<std::uint16_t, kMaxRouteLinks> local{};
+  for (std::size_t i = 0; i < route.size(); ++i) {
+    const std::uint32_t l = route[i];
     const topo::LinkClass& cls = part_.link_class[l];
     if (cls.dir == topo::LinkDir::kUp) {
       FT_CHECK(cls.block == src_block);
+      local[i] = static_cast<std::uint16_t>(link_pos_[l]);
     } else if (cls.dir == topo::LinkDir::kDown) {
       FT_CHECK(cls.block == dst_block);
+      local[i] = static_cast<std::uint16_t>(w.down_off + link_pos_[l]);
     } else {
       FT_CHECK(false);  // flows must not traverse unpartitioned links
     }
@@ -100,59 +162,72 @@ void ParallelNed::assign_flow(FlowIndex slot, std::int32_t src_block,
     flow_pos_.resize(slot + 1, 0);
   }
   FT_CHECK(flow_worker_[slot] == -1);
-  const std::int32_t w = src_block * n_ + dst_block;
-  flow_worker_[slot] = w;
-  flow_pos_[slot] =
-      static_cast<std::uint32_t>(workers_[static_cast<std::size_t>(w)]
-                                     .flows.size());
-  workers_[static_cast<std::size_t>(w)].flows.push_back(slot);
+  flow_worker_[slot] = wi;
+  flow_pos_[slot] = static_cast<std::uint32_t>(w.flows.size());
+  w.flows.push_back(slot);
+  w.route.insert(w.route.end(), local.begin(), local.end());
+  w.route_len.push_back(static_cast<std::uint8_t>(route.size()));
+  w.weight.push_back(problem_.weight()[slot]);
+  w.alpha.push_back(problem_.alpha()[slot]);
+  w.floor.push_back(problem_.price_floor()[slot]);
+  w.x.push_back(0.0);
 }
 
 void ParallelNed::unassign_flow(FlowIndex slot) {
   FT_CHECK(slot < flow_worker_.size());
-  const std::int32_t w = flow_worker_[slot];
-  FT_CHECK(w >= 0);
-  auto& flows = workers_[static_cast<std::size_t>(w)].flows;
+  const std::int32_t wi = flow_worker_[slot];
+  FT_CHECK(wi >= 0);
+  WorkerState& w = workers_[static_cast<std::size_t>(wi)];
   const std::uint32_t pos = flow_pos_[slot];
-  FT_CHECK(pos < flows.size() && flows[pos] == slot);
-  // Swap-remove, fixing the moved slot's position index.
-  flows[pos] = flows.back();
-  flow_pos_[flows[pos]] = pos;
-  flows.pop_back();
+  FT_CHECK(pos < w.flows.size() && w.flows[pos] == slot);
+  // Swap-remove across every flow array, fixing the moved slot's
+  // position index.
+  const std::size_t last = w.flows.size() - 1;
+  const auto swap_pop = [pos, last](auto& v) {
+    v[pos] = v[last];
+    v.pop_back();
+  };
+  std::copy_n(w.route.begin() + static_cast<std::ptrdiff_t>(
+                                    last * kMaxRouteLinks),
+              kMaxRouteLinks,
+              w.route.begin() + static_cast<std::ptrdiff_t>(
+                                    pos * kMaxRouteLinks));
+  w.route.resize(last * kMaxRouteLinks);
+  swap_pop(w.flows);
+  swap_pop(w.route_len);
+  swap_pop(w.weight);
+  swap_pop(w.alpha);
+  swap_pop(w.floor);
+  w.x.pop_back();  // every rate update rewrites x before it is read
+  if (pos < last) flow_pos_[w.flows[pos]] = pos;
   flow_worker_[slot] = -1;
 }
 
-void ParallelNed::rate_update(WorkerState& w, std::int32_t row,
-                              std::int32_t col) {
-  for (LinkId l : block_links(true, row)) {
-    w.alloc[l.value()] = 0.0;
-    w.dxdp[l.value()] = 0.0;
-  }
-  for (LinkId l : block_links(false, col)) {
-    w.alloc[l.value()] = 0.0;
-    w.dxdp[l.value()] = 0.0;
-  }
-  // Branch-light sweep over the SoA arrays; only assigned (active) slots
-  // are in w.flows.
-  const std::uint32_t* links = problem_.route_links().data();
-  const std::uint8_t* len = problem_.route_len().data();
-  const double* weight = problem_.weight().data();
-  const double* alpha = problem_.alpha().data();
-  const double* floor = problem_.price_floor().data();
-  double* price = w.price.data();
+void ParallelNed::rate_update(WorkerState& w) {
+  std::fill(w.alloc.begin(), w.alloc.end(), 0.0);
+  std::fill(w.dxdp.begin(), w.dxdp.end(), 0.0);
+  // The sequential solver's sweep over the worker's own contiguous
+  // arrays.
+  const std::size_t nf = w.flows.size();
+  const std::uint16_t* r = w.route.data();
+  const std::uint8_t* len = w.route_len.data();
+  const double* weight = w.weight.data();
+  const double* alpha = w.alpha.data();
+  const double* floor = w.floor.data();
+  const double* price = w.price.data();
   double* alloc = w.alloc.data();
   double* dxdp = w.dxdp.data();
-  for (FlowIndex slot : w.flows) {
-    const std::uint32_t nl = len[slot];
-    const std::uint32_t* r = links + slot * kMaxRouteLinks;
+  double* rate = w.x.data();
+  for (std::size_t i = 0; i < nf; ++i, r += kMaxRouteLinks) {
+    const std::uint32_t nl = len[i];
     double price_sum = 0.0;
-    for (std::uint32_t i = 0; i < nl; ++i) price_sum += price[r[i]];
+    for (std::uint32_t k = 0; k < nl; ++k) price_sum += price[r[k]];
     double x, dx;
-    flow_demand(weight[slot], alpha[slot], floor[slot], price_sum, x, dx);
-    rates_[slot] = x;
-    for (std::uint32_t i = 0; i < nl; ++i) {
-      alloc[r[i]] += x;
-      dxdp[r[i]] += dx;
+    flow_demand(weight[i], alpha[i], floor[i], price_sum, x, dx);
+    rate[i] = x;
+    for (std::uint32_t k = 0; k < nl; ++k) {
+      alloc[r[k]] += x;
+      dxdp[r[k]] += dx;
     }
   }
 }
@@ -161,24 +236,52 @@ void ParallelNed::price_update_owned(std::int32_t worker) {
   const std::int32_t row = worker / n_;
   const std::int32_t col = worker % n_;
   WorkerState& w = workers_[static_cast<std::size_t>(worker)];
-  // Identical update rule to NedSolver::iterate (see ned.cc).
-  const auto update = [&](LinkId link) {
+  // Identical update rule to NedSolver::iterate (see ned.cc); `i` is the
+  // link's local index, `link` its global one.
+  const auto update = [&](std::size_t i, LinkId link) {
     const std::size_t l = link.value();
-    const double h = w.dxdp[l];
+    const double h = w.dxdp[i];
     const double cap = problem_.capacity(l);
     if (h < 0.0) {
-      const double g = w.alloc[l] - cap;
-      w.price[l] = std::max(0.0, w.price[l] - cfg_.gamma * g / h);
+      const double g = w.alloc[i] - cap;
+      w.price[i] = std::max(0.0, w.price[i] - cfg_.gamma * g / h);
     }
-    w.ratio[l] = w.alloc[l] / cap;
-    global_price_[l] = w.price[l];
-    global_alloc_[l] = w.alloc[l];
+    w.ratio[i] = w.alloc[i] / cap;
+    global_price_[l] = w.price[i];
+    global_alloc_[l] = w.alloc[i];
   };
   if (row == col) {  // upward owner of block `row`
-    for (LinkId l : block_links(true, row)) update(l);
+    const std::span<const LinkId> links = block_links(true, row);
+    for (std::size_t i = 0; i < links.size(); ++i) update(i, links[i]);
   }
   if (row == n_ - 1 - col) {  // downward owner of block `col`
-    for (LinkId l : block_links(false, col)) update(l);
+    const std::span<const LinkId> links = block_links(false, col);
+    for (std::size_t i = 0; i < links.size(); ++i) {
+      update(w.down_off + i, links[i]);
+    }
+  }
+}
+
+void ParallelNed::publish_rates(const WorkerState& w, bool normalize) {
+  const std::size_t nf = w.flows.size();
+  const FlowIndex* slot = w.flows.data();
+  const double* x = w.x.data();
+  double* rates = rates_.data();
+  if (!normalize) {
+    for (std::size_t i = 0; i < nf; ++i) rates[slot[i]] = x[i];
+    return;
+  }
+  // F-NORM using the distributed ratios.
+  const std::uint16_t* r = w.route.data();
+  const std::uint8_t* len = w.route_len.data();
+  const double* ratio = w.ratio.data();
+  double* norm = norm_rates_.data();
+  for (std::size_t i = 0; i < nf; ++i, r += kMaxRouteLinks) {
+    const std::uint32_t nl = len[i];
+    double m = 0.0;
+    for (std::uint32_t k = 0; k < nl; ++k) m = std::max(m, ratio[r[k]]);
+    rates[slot[i]] = x[i];
+    norm[slot[i]] = m > 0.0 ? x[i] / m : x[i];
   }
 }
 
@@ -191,6 +294,9 @@ void ParallelNed::run_phases(std::int32_t t) {
   const auto my_worker = [band_lo, band_hi](std::int32_t w) {
     return w >= band_lo && w < band_hi;
   };
+  const auto band = std::span<WorkerState>(workers_).subspan(
+      static_cast<std::size_t>(band_lo),
+      static_cast<std::size_t>(band_hi - band_lo));
 
   // Band timing is always on (obs::now_ns, two reads per barrier --
   // tens of ns against a multi-us phase): the flight recorder wants
@@ -205,68 +311,59 @@ void ParallelNed::run_phases(std::int32_t t) {
     wait_ns += obs::now_ns() - w0;
   };
 
-  // Phase 0: rate update on private copies.
-  for (std::int32_t w = band_lo; w < band_hi; ++w) {
-    rate_update(workers_[static_cast<std::size_t>(w)], w / n_, w % n_);
-  }
-  phase_wait();
-
-  // Aggregation steps: receiver-side execution, one barrier per step.
-  for (const auto& step : schedule_.steps) {
-    for (const topo::Transfer& tr : step) {
-      if (!my_worker(tr.dst_worker)) continue;
-      const WorkerState& src =
-          workers_[static_cast<std::size_t>(tr.src_worker)];
-      WorkerState& dst = workers_[static_cast<std::size_t>(tr.dst_worker)];
-      for (LinkId l : block_links(tr.upward, tr.block)) {
-        dst.alloc[l.value()] += src.alloc[l.value()];
-        dst.dxdp[l.value()] += src.dxdp[l.value()];
+  if (refresh_floors_) {
+    // A capacity changed since the last iteration: re-read the demand
+    // floors set_capacity refreshed.
+    const double* floor = problem_.price_floor().data();
+    for (WorkerState& w : band) {
+      for (std::size_t i = 0; i < w.flows.size(); ++i) {
+        w.floor[i] = floor[w.flows[i]];
       }
     }
-    phase_wait();
   }
 
-  // Price update + ratio computation at the owners.
+  // Rate update on private copies.
+  for (WorkerState& w : band) rate_update(w);
+
+  // Aggregation: receiver-side adds in schedule order. A step needs a
+  // barrier only when it reads a sender another thread wrote.
+  for (const Step& step : steps_) {
+    if (step.crosses) phase_wait();
+    for (const Move& m : step.moves) {
+      if (!my_worker(m.dst)) continue;
+      const WorkerState& src = workers_[static_cast<std::size_t>(m.src)];
+      WorkerState& dst = workers_[static_cast<std::size_t>(m.dst)];
+      for (std::uint32_t i = 0; i < m.len; ++i) {
+        dst.alloc[m.dst_off + i] += src.alloc[m.src_off + i];
+        dst.dxdp[m.dst_off + i] += src.dxdp[m.src_off + i];
+      }
+    }
+  }
+
+  // Price update + ratio computation at the owners. No barrier: every
+  // add into an owner's sums ran on the owner's own thread.
   for (std::int32_t w = band_lo; w < band_hi; ++w) {
     price_update_owned(w);
   }
-  phase_wait();
 
   // Distribution: reverse schedule, reversed transfer direction,
-  // receiver-side execution (the receiver is the original src_worker).
-  for (auto it = schedule_.steps.rbegin(); it != schedule_.steps.rend();
-       ++it) {
-    for (const topo::Transfer& tr : *it) {
-      if (!my_worker(tr.src_worker)) continue;
-      const WorkerState& from =
-          workers_[static_cast<std::size_t>(tr.dst_worker)];
-      WorkerState& to = workers_[static_cast<std::size_t>(tr.src_worker)];
-      for (LinkId l : block_links(tr.upward, tr.block)) {
-        to.price[l.value()] = from.price[l.value()];
-        to.ratio[l.value()] = from.ratio[l.value()];
-      }
+  // receiver-side copies (the receiver is the original sender).
+  for (auto it = steps_.rbegin(); it != steps_.rend(); ++it) {
+    if (it->crosses) phase_wait();
+    for (const Move& m : it->moves) {
+      if (!my_worker(m.src)) continue;
+      const WorkerState& from = workers_[static_cast<std::size_t>(m.dst)];
+      WorkerState& to = workers_[static_cast<std::size_t>(m.src)];
+      std::copy_n(from.price.begin() + m.dst_off, m.len,
+                  to.price.begin() + m.src_off);
+      std::copy_n(from.ratio.begin() + m.dst_off, m.len,
+                  to.ratio.begin() + m.src_off);
     }
-    phase_wait();
   }
 
-  // Normalization (F-NORM) using the distributed ratios.
-  if (cfg_.compute_norm && norm_this_iter_) {
-    const std::uint32_t* links = problem_.route_links().data();
-    const std::uint8_t* len = problem_.route_len().data();
-    for (std::int32_t wi = band_lo; wi < band_hi; ++wi) {
-      const WorkerState& w = workers_[static_cast<std::size_t>(wi)];
-      const double* ratio = w.ratio.data();
-      for (FlowIndex slot : w.flows) {
-        const std::uint32_t nl = len[slot];
-        const std::uint32_t* rt = links + slot * kMaxRouteLinks;
-        double r = 0.0;
-        for (std::uint32_t i = 0; i < nl; ++i) {
-          r = std::max(r, ratio[rt[i]]);
-        }
-        norm_rates_[slot] = r > 0.0 ? rates_[slot] / r : rates_[slot];
-      }
-    }
-  }
+  // Rates (and F-NORM) leave the band.
+  const bool normalize = cfg_.compute_norm && norm_this_iter_;
+  for (const WorkerState& w : band) publish_rates(w, normalize);
 
   const std::int64_t compute_ns = obs::now_ns() - t_begin - wait_ns;
   last_band_ns_[static_cast<std::size_t>(t)] = compute_ns;
@@ -313,12 +410,11 @@ void ParallelNed::thread_main(std::int32_t t) {
 
 void ParallelNed::iterate(bool compute_norm) {
   norm_this_iter_ = compute_norm;
+  const std::uint64_t capacity_version = problem_.capacity_version();
+  refresh_floors_ = capacity_version != capacity_version_;
+  capacity_version_ = capacity_version;
   rates_.resize(problem_.num_slots(), 0.0);
   norm_rates_.resize(problem_.num_slots(), 0.0);
-  if (flow_worker_.size() < problem_.num_slots()) {
-    flow_worker_.resize(problem_.num_slots(), -1);
-    flow_pos_.resize(problem_.num_slots(), 0);
-  }
   // obs::now_ns, not steady_clock: iterate() wall time is differenced
   // against worker-thread band stamps, so every side must read the same
   // (RAW) clock.

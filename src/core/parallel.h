@@ -2,22 +2,39 @@
 //
 // Workers form an n x n grid of FlowBlocks (row = source block, column =
 // destination block). Each worker keeps *private copies* of the link
-// state (prices, aggregate allocation, Hessian diagonal) for its row's
-// upward LinkBlock and its column's downward LinkBlock, so the rate
-// update performs no cross-worker writes at all. A log2(n)-step pairwise
-// aggregation (Figure 3) then combines the private sums onto authoritative
-// owners -- upward LinkBlock i at worker (i,i), downward LinkBlock j at
-// worker (n-1-j, j) -- which apply the NED price update and compute
-// F-NORM's link ratios; the same schedule replayed in reverse distributes
-// fresh prices and ratios back to every worker's private copies.
+// state (prices, aggregate allocation, Hessian diagonal, F-NORM ratios)
+// for exactly its two LinkBlocks -- its row's upward LinkBlock at local
+// indices [0, up_n) and its column's downward LinkBlock at
+// [up_n, up_n + down_n) -- so the rate update performs no cross-worker
+// writes at all. A log2(n)-step pairwise aggregation (Figure 3) then
+// combines the private sums onto authoritative owners -- upward LinkBlock
+// i at worker (i,i), downward LinkBlock j at worker (n-1-j, j) -- which
+// apply the NED price update and compute F-NORM's link ratios; the same
+// schedule replayed in reverse distributes fresh prices and ratios back
+// to every worker's private copies. Every transfer is a contiguous range
+// add or copy.
+//
+// Each worker also holds its flows' solve inputs band-locally: routes in
+// LinkBlock-local link indices, weights, alphas, demand floors and rates
+// as contiguous arrays in assignment order, kept in step with
+// assign_flow/unassign_flow. A worker's sweep is therefore the
+// sequential solver's linear scan over its own flows; rates leave the
+// band once per iteration, in the final pass. Floors are the one input
+// that can change under an assigned slot (NumProblem::set_capacity);
+// iterate() re-reads them when the problem's capacity version moves.
 //
 // The engine produces results identical to the sequential NedSolver up to
-// floating-point summation order (unit-tested), and runs its workers on a
-// configurable number of threads, as in §6.1 where multiple FlowBlocks
-// are mapped to each CPU: each thread owns a *contiguous* band of grid
-// workers (whole rows when num_threads == num_blocks) and, when a CpuMap
-// is configured, pins itself to that band's row CPU so LinkBlock state
-// stays cache-resident across iterations.
+// floating-point summation order (unit-tested), and bit-identical across
+// thread counts. It runs its workers on a configurable number of
+// threads, as in §6.1 where multiple FlowBlocks are mapped to each CPU:
+// each thread owns a *contiguous* band of grid workers (whole rows when
+// num_threads == num_blocks) and, when a CpuMap is configured, pins
+// itself to that band's row CPU so LinkBlock state stays cache-resident
+// across iterations. Every add is done by the receiving worker's thread,
+// so threads synchronise only before the aggregation (and reverse
+// distribution) steps in which some transfer crosses from one thread's
+// band to another's: barriers_per_iter() is 2 (start and end) plus two
+// per crossing step.
 #pragma once
 
 #include <atomic>
@@ -87,6 +104,10 @@ class ParallelNed {
 
   [[nodiscard]] std::int32_t num_workers() const { return num_workers_; }
   [[nodiscard]] std::int32_t num_threads() const { return num_threads_; }
+  // Barrier crossings per iterate(), counting the start and end
+  // handshakes with the calling thread: a deterministic function of
+  // (num_blocks, num_threads), the engine's synchronisation cost.
+  [[nodiscard]] std::int32_t barriers_per_iter() const;
   // Row -> CPU layout in use ("" when pinning is disabled); for logs and
   // bench run metadata.
   [[nodiscard]] std::string pinning() const { return cpu_map_.describe(); }
@@ -113,18 +134,45 @@ class ParallelNed {
   void bind_metrics(obs::MetricsRegistry& reg);
 
  private:
+  // One FlowBlock's band-local state (see the file comment). Link arrays
+  // are LinkBlock-sized; flow arrays are parallel to `flows`, with
+  // routes at stride kMaxRouteLinks in local link indices.
   struct WorkerState {
+    std::uint32_t down_off = 0;  // up_n of the worker's row
     std::vector<double> price;
     std::vector<double> alloc;
     std::vector<double> dxdp;
     std::vector<double> ratio;
     std::vector<FlowIndex> flows;
+    std::vector<std::uint16_t> route;
+    std::vector<std::uint8_t> route_len;
+    std::vector<double> weight;
+    std::vector<double> alpha;
+    std::vector<double> floor;
+    std::vector<double> x;
+  };
+
+  // One aggregation transfer as a local range: `len` entries at src_off
+  // in the sender and dst_off in the receiver.
+  struct Move {
+    std::int32_t src = 0;
+    std::int32_t dst = 0;
+    std::uint32_t src_off = 0;
+    std::uint32_t dst_off = 0;
+    std::uint32_t len = 0;
+  };
+  struct Step {
+    std::vector<Move> moves;
+    // Some move's sender and receiver lie in different thread bands:
+    // a phase barrier must precede the step (and its reverse).
+    bool crosses = false;
   };
 
   void thread_main(std::int32_t t);
   void run_phases(std::int32_t t);
-  void rate_update(WorkerState& w, std::int32_t row, std::int32_t col);
+  static void rate_update(WorkerState& w);
   void price_update_owned(std::int32_t worker);
+  void publish_rates(const WorkerState& w, bool normalize);
 
   [[nodiscard]] std::span<const LinkId> block_links(bool upward,
                                                     std::int32_t b) const {
@@ -135,7 +183,6 @@ class ParallelNed {
 
   NumProblem& problem_;
   topo::BlockPartition part_;
-  topo::AggregationSchedule schedule_;
   ParallelConfig cfg_;
   std::int32_t n_;
   std::int32_t num_workers_;
@@ -144,12 +191,14 @@ class ParallelNed {
 
   // Contiguous worker -> thread bands: thread t owns workers
   // [band_begin_[t], band_begin_[t + 1]), i.e. whole rows when
-  // num_threads == n. Any partition is correct (workers touch disjoint
-  // private state between barriers); contiguity is what makes row
-  // pinning meaningful.
+  // num_threads == n. Any partition is correct (the barrier placement in
+  // steps_ is derived from it); contiguity is what makes row pinning
+  // meaningful and keeps most transfers inside one band.
   std::vector<std::int32_t> band_begin_;  // size num_threads + 1
 
   std::vector<WorkerState> workers_;
+  std::vector<Step> steps_;                  // aggregation order
+  std::vector<std::uint32_t> link_pos_;      // link -> index in its block
   std::vector<std::int32_t> flow_worker_;    // slot -> worker (-1 = none)
   std::vector<std::uint32_t> flow_pos_;      // slot -> index in flows vec
   std::vector<double> rates_;
@@ -157,7 +206,10 @@ class ParallelNed {
   std::vector<double> global_price_;
   std::vector<double> global_alloc_;
 
-  bool norm_this_iter_ = true;  // written before the start barrier
+  // Written by the calling thread before the start barrier.
+  bool norm_this_iter_ = true;
+  bool refresh_floors_ = false;
+  std::uint64_t capacity_version_ = 0;  // problem's, at the last refresh
   std::vector<std::jthread> threads_;
   std::barrier<> start_barrier_;   // num_threads + 1 (main)
   std::barrier<> end_barrier_;     // num_threads + 1 (main)

@@ -41,6 +41,7 @@ void NumProblem::set_capacity(std::size_t link, double capacity_bps) {
     refresh_demand_bound(adj_slot(entry));
   }
   ++version_;
+  ++capacity_version_;
 }
 
 void NumProblem::reserve(std::size_t slots) {

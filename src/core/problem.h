@@ -171,6 +171,11 @@ class NumProblem {
   // Monotone counter bumped on every add/remove; lets solvers detect
   // churn (e.g. to reset momentum state).
   [[nodiscard]] std::uint64_t version() const { return version_; }
+  // Monotone counter bumped on every set_capacity: a solver that caches
+  // price_floor() per flow re-reads it when this moves.
+  [[nodiscard]] std::uint64_t capacity_version() const {
+    return capacity_version_;
+  }
 
  private:
   friend class FlowView;
@@ -196,6 +201,7 @@ class NumProblem {
   std::vector<FlowIndex> free_list_;
   std::size_t num_active_ = 0;
   std::uint64_t version_ = 0;
+  std::uint64_t capacity_version_ = 0;
 };
 
 inline bool FlowView::active() const {

@@ -404,8 +404,10 @@ TEST(AllocatorBackendTest, MultiIterationRoundsMatch) {
 TEST(AllocatorBackendTest, RuntimeCapacityChangesMatchUnderParallel) {
   // §7 closed loop under the multicore backend: set_link_capacity at
   // runtime must keep sequential and parallel allocations equivalent --
-  // the SoA demand-bound refresh walks the link->flow adjacency, and the
-  // parallel engine reads capacities straight from the shared problem.
+  // the SoA demand-bound refresh walks the link->flow adjacency. The
+  // parallel engine reads capacities straight from the shared problem
+  // but keeps band-local copies of the demand floors, which it re-reads
+  // when NumProblem::capacity_version() moves; a stale copy fails here.
   AllocatorConfig acfg;
   acfg.threshold = 0.0;  // every change notified: strictest comparison
   BackendPair pair(4, 4, acfg);

@@ -2,8 +2,9 @@
 """Tests for tools/check_bench_regression.py's gating rules.
 
 Deterministic outputs of the virtual-time benches (run fingerprints,
-sim_* metrics, violation counts) must fail the diff on any machine;
-wall-clock slowdowns stay advisory below the --gate-threads bar.
+sim_* metrics, violation counts) and counted cost.* metrics must fail
+the diff on any machine; wall-clock slowdowns stay advisory below the
+--gate-threads bar.
 
     python3 tests/check_bench_regression_test.py
 """
@@ -39,6 +40,26 @@ NET = {
     "msgs_per_sec": 1.0e6,
     "e2e_p99_us": 100.0,
 }
+NED_MICRO = {
+    "run": {"git_sha": "0", "hardware_concurrency": 1},
+    "cases": [
+        {"name": "parallel_iteration/4", "ns_per_iter": 1.0e5},
+        {"name": "parallel_iteration/8x8/t2", "ns_per_iter": 1.0e5,
+         "cost.par.barriers_per_iter": 4},
+    ],
+}
+
+
+def with_cost(doc, value):
+    """NED_MICRO with the 8x8/t2 row's barrier cost set to `value`, or
+    removed when `value` is None."""
+    out = json.loads(json.dumps(doc))
+    row = out["cases"][1]
+    if value is None:
+        del row["cost.par.barriers_per_iter"]
+    else:
+        row["cost.par.barriers_per_iter"] = value
+    return out
 
 
 def with_threads(doc, threads):
@@ -111,6 +132,27 @@ class CheckerGateTest(unittest.TestCase):
         self.assertEqual(
             self.run_checker({"BENCH_net_throughput.json": fresh_net,
                               "BENCH_sim_scale.json": fresh_sim}), 0)
+
+    def test_identical_cost_passes(self):
+        self.assertEqual(
+            self.run_checker({"BENCH_ned_micro.json": NED_MICRO},
+                             baseline={"BENCH_ned_micro.json": NED_MICRO}),
+            0)
+
+    def test_changed_cost_fails_at_4_threads(self):
+        for value in (10, 2):  # more barriers, and fewer: exact match only
+            fresh = with_cost(NED_MICRO, value)
+            self.assertEqual(
+                self.run_checker({"BENCH_ned_micro.json": fresh},
+                                 baseline={"BENCH_ned_micro.json": NED_MICRO}),
+                1, f"cost {value}")
+
+    def test_missing_cost_fails(self):
+        fresh = with_cost(NED_MICRO, None)
+        self.assertEqual(
+            self.run_checker({"BENCH_ned_micro.json": fresh},
+                             baseline={"BENCH_ned_micro.json": NED_MICRO}),
+            1)
 
     def test_slower_wall_clock_fails_at_8_threads_on_same_hardware(self):
         baseline = {"BENCH_net_throughput.json": with_threads(NET, 8)}

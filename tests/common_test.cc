@@ -3,7 +3,10 @@
 // 16-bit rate codec, and wire-size accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -211,13 +214,105 @@ TEST(RateCodeTest, EdgeCases) {
   EXPECT_DOUBLE_EQ(decode_rate(0), 0.0);
   // Tiny rates below granularity go to zero.
   EXPECT_EQ(encode_rate(10.0), 0);
-  // Monotonicity over a broad sweep.
+  // Monotonicity over a broad sweep, well past the largest code
+  // (~4.4e15 bps) so the clamp is covered too.
   double prev = -1.0;
-  for (double rate = 1e3; rate <= 1e13; rate *= 1.1) {
+  for (double rate = 1e3; rate <= 1e17; rate *= 1.1) {
     const double d = decode_rate(encode_rate(rate));
-    EXPECT_GE(d, prev);
+    EXPECT_GE(d, prev) << "rate=" << rate;
     prev = d;
   }
+}
+
+// The straightforward halving-loop encoder, kept as the reference the
+// loop-free encode_rate must match code for code. Exponent 31 does not
+// fit the 5-bit normal exponent field (e + 1), so it clamps.
+std::uint16_t encode_rate_reference(double rate_bps) {
+  if (!(rate_bps > 0.0)) return 0;
+  double units = rate_bps / 1e3;
+  if (units < 1.0) return 0;
+  if (units < 2048.0) return static_cast<std::uint16_t>(units);
+  int e = 0;
+  while (units >= 4096.0 && e < 31) {
+    units /= 2.0;
+    ++e;
+  }
+  if (e == 31) return 0xFFFF;
+  const std::uint32_t m = static_cast<std::uint32_t>(units + 0.5) - 2048u;
+  return static_cast<std::uint16_t>(((e + 1) << 11) | std::min(m, 2047u));
+}
+
+// Counts encode_rate / reference disagreements over `rates`, recording
+// the first one.
+struct CodecDiff {
+  std::size_t checked = 0;
+  std::size_t mismatches = 0;
+  double first = 0.0;
+
+  void check(double rate) {
+    ++checked;
+    if (encode_rate(rate) != encode_rate_reference(rate)) {
+      if (mismatches++ == 0) first = rate;
+    }
+  }
+  void check_with_neighbours(double rate) {
+    check(rate);
+    check(std::nextafter(rate, std::numeric_limits<double>::infinity()));
+    check(std::nextafter(rate, -std::numeric_limits<double>::infinity()));
+  }
+};
+
+TEST(RateCodeTest, MaxCodeClampsEverythingAbove) {
+  const std::uint16_t max_code = 0xFFFF;
+  const double max_rate = decode_rate(max_code);
+  EXPECT_NEAR(max_rate, 4.397e15, 1e12);
+  EXPECT_EQ(encode_rate(max_rate), max_code);
+  // The window the old loop dropped into code (32 << 11) truncation.
+  for (const double rate : {4.4e15, 5e15, 8.7e15, 8.8e15, 1e16, 1e300,
+                            std::numeric_limits<double>::max(),
+                            std::numeric_limits<double>::infinity()}) {
+    EXPECT_EQ(encode_rate(rate), max_code) << "rate=" << rate;
+  }
+}
+
+TEST(RateCodeTest, LoopFreeEncoderMatchesReference) {
+  CodecDiff diff;
+  // Every code's decoded value and its one-ulp neighbours: each bin edge
+  // and rounding boundary of the format.
+  for (std::uint32_t code = 0; code <= 0xFFFF; ++code) {
+    diff.check_with_neighbours(decode_rate(static_cast<std::uint16_t>(code)));
+  }
+  // Specials.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double rate :
+       {0.0, -0.0, -1.0, -1e9, -kInf, kInf,
+        std::numeric_limits<double>::quiet_NaN(),
+        -std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::denorm_min(),
+        std::numeric_limits<double>::min(),
+        std::numeric_limits<double>::max()}) {
+    diff.check(rate);
+  }
+  // The denormal/normal boundary and the first exponent step.
+  diff.check_with_neighbours(2048e3);
+  diff.check_with_neighbours(4096e3);
+  // The window around the clamp, [4.3e15, 9e15].
+  for (double rate = 4.3e15; rate <= 9e15; rate += 2.5e9) {
+    diff.check_with_neighbours(rate);
+  }
+  // Seeded bulk: uniform, log-uniform, and raw bit patterns (which
+  // cover negatives, NaNs, infinities and denormals).
+  Rng rng(2024);
+  for (int i = 0; i < 400'000; ++i) {
+    diff.check(rng.uniform(0.0, 1e16));
+    diff.check(std::pow(10.0, rng.uniform(-3.0, 20.0)));
+    diff.check(std::bit_cast<double>(rng.next()));
+  }
+  EXPECT_GE(diff.checked, 1'000'000u);
+  EXPECT_EQ(diff.mismatches, 0u)
+      << "first mismatch at rate " << diff.first << ": encode_rate "
+      << encode_rate(diff.first) << ", reference "
+      << encode_rate_reference(diff.first);
 }
 
 TEST(RateCodeTest, CodesAreCompact) {

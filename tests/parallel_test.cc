@@ -1,7 +1,8 @@
 // Tests for the multicore FlowBlock/LinkBlock engine (§5): bit-level
 // behavioural equivalence with the sequential NED solver (up to fp
-// summation order), F-NORM piggybacking, flow churn bookkeeping, and
-// determinism across thread counts.
+// summation order), F-NORM piggybacking, flow churn bookkeeping, unequal
+// LinkBlock sizes, barrier placement, and determinism across thread
+// counts.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -258,32 +259,164 @@ TEST(ParallelChurnTest, SlotRecyclingUnderHeavyInterleavedChurn) {
 
 TEST(ParallelDeterminismTest, SameResultsAcrossThreadCounts) {
   Instance inst(8, 2, 2, 4);
-  const auto specs = random_flows(inst, 50, 1234);
+  const auto specs = random_flows(inst, 80, 1234);
 
+  // Rates and F-NORM rates after a run with churn (slot recycling moves
+  // flows between FlowBlocks and reorders their band-local arrays) and
+  // one runtime capacity change (the band-local floor refresh).
   auto run = [&](std::int32_t threads) {
     NumProblem p(inst.caps);
     ParallelConfig cfg;
     cfg.num_blocks = 4;
     cfg.num_threads = threads;
     ParallelNed par(p, inst.part, cfg);
-    for (const auto& s : specs) {
-      par.assign_flow(p.add_flow(s.route, {}), s.src_block, s.dst_block);
+    Rng rng(77);
+    std::vector<FlowIndex> live;
+    const auto add = [&](const FlowSpec& s) {
+      const FlowIndex idx = p.add_flow(s.route, {});
+      par.assign_flow(idx, s.src_block, s.dst_block);
+      live.push_back(idx);
+    };
+    for (std::size_t i = 0; i < 50; ++i) add(specs[i]);
+    for (int i = 0; i < 40; ++i) {
+      if (i % 4 == 1) {
+        const auto pick = rng.below(live.size());
+        par.unassign_flow(live[pick]);
+        p.remove_flow(live[pick]);
+        live[pick] = live.back();
+        live.pop_back();
+        add(specs[rng.below(specs.size())]);
+      }
+      if (i == 20) {
+        // The first live flow's host uplink drops to 100M: the demand
+        // floors of the flows on it rise.
+        p.set_capacity(p.flow(live.front()).route()[0], 1e8);
+      }
+      par.iterate();
     }
-    for (int i = 0; i < 40; ++i) par.iterate();
-    return std::vector<double>(par.rates().begin(), par.rates().end());
+    std::vector<double> out(par.rates().begin(), par.rates().end());
+    out.insert(out.end(), par.norm_rates().begin(), par.norm_rates().end());
+    return out;
   };
 
   const auto r1 = run(1);
   const auto r4 = run(4);
   const auto r16 = run(16);
   ASSERT_EQ(r1.size(), r4.size());
+  ASSERT_EQ(r1.size(), r16.size());
   for (std::size_t i = 0; i < r1.size(); ++i) {
     // Identical arithmetic regardless of thread count (worker order is
     // fixed): bitwise equality expected.
-    EXPECT_DOUBLE_EQ(r1[i], r4[i]);
-    EXPECT_DOUBLE_EQ(r1[i], r16[i]);
+    EXPECT_EQ(r1[i], r4[i]) << "entry " << i;
+    EXPECT_EQ(r1[i], r16[i]) << "entry " << i;
   }
 }
+
+TEST(ParallelBarrierTest, BarriersOnlyWhereThreadBandsMeet) {
+  // Barrier crossings per iteration (start and end included) for
+  // (grid side n, threads). A phase barrier precedes only the
+  // aggregation steps -- and their reverse distribution steps -- with a
+  // transfer between two threads' bands; with whole-row bands upward
+  // transfers never cross, so only the column transfers between row
+  // bands do. (Barriering every step costs 2*log2(n) + 4.)
+  struct Row {
+    std::int32_t n;
+    std::int32_t threads;
+    std::int32_t barriers;
+  };
+  for (const Row& row : {Row{8, 2, 4}, Row{8, 1, 2}, Row{8, 8, 8},
+                         Row{4, 16, 6}, Row{2, 2, 4}}) {
+    Instance inst(8, 1, 1, row.n);
+    NumProblem p(inst.caps);
+    ParallelConfig cfg;
+    cfg.num_blocks = row.n;
+    cfg.num_threads = row.threads;
+    ParallelNed par(p, inst.part, cfg);
+    EXPECT_EQ(par.barriers_per_iter(), row.barriers)
+        << "n=" << row.n << " threads=" << row.threads;
+  }
+}
+
+// Rack counts the block count does not divide: BlockPartition gives the
+// last blocks fewer racks (6 racks / 4 blocks -> 2,2,2,0 racks; 7 -> 2,2,
+// 2,1), so workers in different rows place their downward LinkBlock at
+// different local offsets and the column transfers between them must
+// translate. Checked against the sequential solver under churn and a
+// capacity change, at several thread counts.
+class ParallelUnequalBlocksP
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+TEST_P(ParallelUnequalBlocksP, MatchesSequentialNedWithChurn) {
+  const auto [racks, threads] = GetParam();
+  Instance inst(racks, 2, 2, 4);
+  const auto specs = random_flows(inst, 120, 606);
+
+  NumProblem seq_p(inst.caps);
+  NedSolver seq(seq_p, 1.0);
+  NumProblem par_p(inst.caps);
+  ParallelConfig cfg;
+  cfg.num_blocks = 4;
+  cfg.num_threads = threads;
+  ParallelNed par(par_p, inst.part, cfg);
+
+  Rng rng(8);
+  struct Live {
+    FlowIndex seq_slot;
+    FlowIndex par_slot;
+  };
+  std::vector<Live> live;
+  const auto add_one = [&] {
+    const auto& s = specs[rng.below(specs.size())];
+    const FlowIndex si = seq_p.add_flow(s.route, {});
+    const FlowIndex pi = par_p.add_flow(s.route, {});
+    par.assign_flow(pi, s.src_block, s.dst_block);
+    live.push_back({si, pi});
+  };
+  for (int i = 0; i < 60; ++i) add_one();
+  for (int round = 0; round < 60; ++round) {
+    for (int c = 0; c < 4; ++c) {
+      if (!live.empty() && rng.uniform() < 0.5) {
+        const auto pick = rng.below(live.size());
+        par.unassign_flow(live[pick].par_slot);
+        par_p.remove_flow(live[pick].par_slot);
+        seq_p.remove_flow(live[pick].seq_slot);
+        live[pick] = live.back();
+        live.pop_back();
+      } else {
+        add_one();
+      }
+    }
+    if (round == 30) {
+      // A host uplink drops to 100M: the demand floor of every flow on
+      // it rises far above its path price, so a stale band-local floor
+      // shows at once.
+      const auto link = seq_p.flow(live.front().seq_slot).route()[0];
+      seq_p.set_capacity(link, 1e8);
+      par_p.set_capacity(link, 1e8);
+    }
+    seq.iterate();
+    par.iterate();
+    std::vector<double> expect(par_p.num_slots());
+    f_norm(par_p, par.rates(), expect);
+    for (const Live& f : live) {
+      ASSERT_NEAR(par.rates()[f.par_slot], seq.rates()[f.seq_slot],
+                  std::max(1.0, seq.rates()[f.seq_slot]) * 1e-9)
+          << "round " << round << " slot " << f.par_slot;
+      ASSERT_NEAR(par.norm_rates()[f.par_slot], expect[f.par_slot],
+                  std::max(1.0, expect[f.par_slot]) * 1e-9)
+          << "round " << round << " slot " << f.par_slot;
+    }
+  }
+  for (std::size_t l = 0; l < inst.caps.size(); ++l) {
+    EXPECT_NEAR(par.prices()[l], seq.prices()[l],
+                std::max(1e-12, seq.prices()[l]) * 1e-9)
+        << "link " << l;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RacksAndThreads, ParallelUnequalBlocksP,
+    ::testing::Combine(::testing::Values(6, 7), ::testing::Values(1, 2, 4)));
 
 TEST(ParallelUtilityTest, AlphaFairAndFixedDemandMatchSequential) {
   // The parallel engine must agree with the sequential solver for the

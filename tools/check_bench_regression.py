@@ -19,7 +19,11 @@ Config/count keys (flows, shards, iterations, ...) are ignored.
 Deterministic outputs of the virtual-time benches are exact functions of
 (seed, config), identical on every machine, so they gate everywhere:
 sim_* metrics (5% band), *violations counts (zero tolerance) and
-trajectory_hash / campaign_hash (compared as strings). Any of these
+trajectory_hash / campaign_hash (compared as strings). cost.* metrics --
+counted costs such as the parallel engine's barriers per iteration --
+are exact functions of the code and its config, so they must equal the
+baseline: a cost that falls fails too, until the baseline is
+regenerated, so the checked-in numbers stay the program's. Any of these
 differing from the baseline -- or missing from the fresh file -- exits
 non-zero regardless of --gate-threads or the baseline's hardware.
 
@@ -71,10 +75,15 @@ VIOLATION_SUFFIX = "violations"
 # trajectory changed. Compared as strings, not as metrics.
 HASH_KEYS = {"trajectory_hash", "campaign_hash"}
 
+# Counted costs (barriers, allocations, syscalls per operation): exact
+# functions of code and config, so they gate by equality on every runner.
+COST_PREFIX = "cost."
+
 
 def is_deterministic(key):
     """True for metrics that gate on every machine (see module doc)."""
-    return key.startswith(SIM_PREFIX) or key.endswith(VIOLATION_SUFFIX)
+    return (key.startswith(SIM_PREFIX) or key.startswith(COST_PREFIX)
+            or key.endswith(VIOLATION_SUFFIX))
 
 
 def is_number(value):
@@ -85,7 +94,7 @@ def metric_direction(key):
     """Returns +1 (higher better), -1 (lower better) or 0 (ignore)."""
     if key in IGNORED_KEYS:
         return 0
-    if key.endswith(VIOLATION_SUFFIX):
+    if key.endswith(VIOLATION_SUFFIX) or key.startswith(COST_PREFIX):
         return -1
     for suffix in HIGHER_SUFFIXES:
         if key.endswith(suffix):
@@ -169,6 +178,14 @@ def compare_file(name, baseline, fresh, tolerance):
                 f"  {name}:{path}: baseline {base_val:.6g} -> fresh "
                 f"{fresh_val} (deterministic output missing)"
             )
+            continue
+        if key.startswith(COST_PREFIX):
+            if fresh_val != base_val:
+                det_regressions.append(
+                    f"  {name}:{path}: baseline {base_val:.6g} -> fresh "
+                    f"{fresh_val:.6g} (counted cost changed; must match "
+                    "exactly -- regenerate the baseline if intended)"
+                )
             continue
         if key.endswith(VIOLATION_SUFFIX):
             if fresh_val > base_val:
