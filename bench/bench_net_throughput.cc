@@ -117,8 +117,8 @@ struct FanoutOpts {
 };
 
 // One fan-out run: `nclients` agent threads blast start/end churn at a
-// service running `opts.shards` I/O shard threads (0 = inline
-// single-thread service) over an `opts.alloc_threads`-thread allocation
+// service running `opts.shards` I/O shard threads (0 = one shard on the
+// caller loop's thread) over an `opts.alloc_threads`-thread allocation
 // backend (0 = sequential), with the caller loop (accept + allocation
 // rounds) in its own thread. Returns aggregate msgs/sec, or < 0 on
 // connection loss.

@@ -227,8 +227,7 @@ int main(int argc, char** argv) {
   std::printf("flowtune allocator daemon: %d hosts, %zu links, "
               "%s backend, %d I/O shard(s)\n",
               clos.num_hosts(), alloc.problem().num_links(),
-              alloc.backend().name(),
-              svc.num_shards() > 0 ? svc.num_shards() : 1);
+              alloc.backend().name(), svc.num_shards());
   if (!svc.pinning().empty()) {
     std::printf("  pinned shard->cpu layout: %s (one shard per block "
                 "row)\n",

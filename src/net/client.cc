@@ -83,8 +83,7 @@ EndpointAgent::EndpointAgent(
       tr_(cfg_.transport != nullptr ? cfg_.transport : &os_transport()),
       clock_(&tr_->clock()),
       epoch_us_(clock_->now_us()),
-      detector_(std::move(detector)),
-      parser_(cfg_.max_frame_payload) {
+      detector_(std::move(detector)) {
   if (!detector_ && cfg_.idle_gap_us > 0) {
     // Pre-detector behaviour: one fixed idle gap for every flow.
     flowlet::StaticGapConfig dcfg;
@@ -266,7 +265,7 @@ void EndpointAgent::try_reconnect(std::int64_t now_us) {
   // parser is rebuilt (mid-frame bytes and a sticky corrupt flag die
   // with it), the writer's open batch and coalescing table were
   // dropped at disconnect, and the outbox is empty.
-  parser_ = FrameParser(cfg_.max_frame_payload);
+  parser_ = FrameParser();
   writer_.clear();
   outbox_.clear();
   out_off_ = 0;
@@ -400,7 +399,7 @@ bool EndpointAgent::flowlet_start(std::uint32_t key, std::uint16_t src,
       s->user_tag = weight_milli;
     }
   }
-  if (writer_.pending_bytes() >= cfg_.flush_threshold_bytes) flush();
+  if (writer_.pending_bytes() >= kAgentFlushThresholdBytes) flush();
   return true;
 }
 
@@ -416,7 +415,7 @@ bool EndpointAgent::flowlet_end(std::uint32_t key) {
   }
   writer_.add(core::FlowletEndMsg{key});
   ++stats_.ends_sent;
-  if (writer_.pending_bytes() >= cfg_.flush_threshold_bytes) flush();
+  if (writer_.pending_bytes() >= kAgentFlushThresholdBytes) flush();
   return true;
 }
 
@@ -433,7 +432,7 @@ void EndpointAgent::observe_packet(std::uint32_t key, std::uint16_t src,
                                    std::uint32_t bytes) {
   FT_CHECK(detector_ != nullptr);
   detector_->on_packet({key, src, dst, bytes, now_ps(), 0});
-  if (writer_.pending_bytes() >= cfg_.flush_threshold_bytes) flush();
+  if (writer_.pending_bytes() >= kAgentFlushThresholdBytes) flush();
 }
 
 void EndpointAgent::detected_start(const flowlet::PacketRecord& p) {
@@ -568,7 +567,7 @@ void EndpointAgent::on_rate_update(const core::RateUpdateMsg& m) {
   it->second.rate_bps = decode_rate(m.rate_code);
   it->second.rate_epoch = m.epoch;
   // A rate on this connection acks the flow's registration: the
-  // allocator provably knows about it (see reregister_period_us).
+  // allocator provably knows about it (see kReregisterPeriodUs).
   it->second.ack_conn_gen = conn_gen_;
   if (on_rate_) on_rate_(m.flow_key, it->second.rate_bps, m.rate_code);
 }
@@ -644,7 +643,7 @@ void EndpointAgent::flush() {
     stats_.wire_bytes_out +=
         wire_bytes_tcp_stream(static_cast<std::int64_t>(framed));
   }
-  if (outbox_.size() - out_off_ > cfg_.max_outbox_bytes) {
+  if (outbox_.size() - out_off_ > kAgentMaxOutboxBytes) {
     // The service stopped reading; give up rather than buffer forever.
     lose_connection(clock_->now_us());
     return;
@@ -719,8 +718,8 @@ bool EndpointAgent::poll() {
   // re-arming that flow's notification. Without this, a black hole
   // overlapping a reconnect or restart strands the plane forever --
   // the chaos campaign's very first find.
-  if (cfg_.reregister_period_us > 0 && state_ == ConnState::kConnected &&
-      now - last_replay_us_ >= cfg_.reregister_period_us) {
+  if (state_ == ConnState::kConnected &&
+      now - last_replay_us_ >= kReregisterPeriodUs) {
     bool unacked = false;
     for (const auto& [key, st] : flows_) {
       if (st.ack_conn_gen != conn_gen_ ||

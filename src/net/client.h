@@ -49,6 +49,26 @@ enum class ConnState : std::uint8_t {
   kReconnecting = 3,
 };
 
+// The agent flushes its outgoing batch once it holds this many payload
+// bytes (latency/amortization trade-off).
+inline constexpr std::size_t kAgentFlushThresholdBytes = 16 * 1024;
+// The agent gives up (disconnects) once this much unsent output is
+// buffered: a service that stopped reading must not grow it without
+// bound.
+inline constexpr std::size_t kAgentMaxOutboxBytes = 4 * 1024 * 1024;
+// Registration refresh. Flowlet registration is soft state: a start (or
+// a reconnect/epoch replay) can die in a fault window -- eaten by a
+// silent partition, dropped frame, or a restart race -- and nothing
+// downstream would ever retry. A rate update arriving on the current
+// connection acks the flow's registration; while kConnected, any flow
+// still unacked (or, with epoch filtering, still holding a rate from an
+// older epoch than the newest observed) this long after the last replay
+// triggers another full replay. The service treats a duplicate start
+// from the owning connection as "re-send my rate" (see
+// ServiceStats::replayed_starts), closing the loop even when the
+// original rate update was the casualty.
+inline constexpr std::int64_t kReregisterPeriodUs = 250'000;
+
 struct AgentConfig {
   // The transport/clock seam this agent runs on. Null = the process-wide
   // OS transport (real sockets, CLOCK_MONOTONIC). The virtual-time
@@ -65,13 +85,6 @@ struct AgentConfig {
   // ended and its next packet re-registers it). Size this comfortably
   // above the expected number of concurrent flows.
   std::size_t detector_table_capacity = 1 << 14;
-  // Flush the outgoing batch automatically when it grows past this many
-  // payload bytes (latency/amortization trade-off).
-  std::size_t flush_threshold_bytes = 16 * 1024;
-  std::size_t max_frame_payload = kMaxFramePayload;
-  // Give up (disconnect) once this much unsent output is buffered: a
-  // service that stopped reading must not grow the agent without bound.
-  std::size_t max_outbox_bytes = 4 * 1024 * 1024;
   // Optional telemetry sink (src/obs/): agent.first_update_rtt_us
   // (flowlet-start sent -> first rate update back), agent.poll_us /
   // agent.poll_gap_us (rate-apply lag: how stale an update can get
@@ -148,19 +161,6 @@ struct AgentConfig {
   // the stale-rate bug and prove the chaos oracles catch it; production
   // code never clears it.
   bool epoch_filtering = true;
-  // --- Registration refresh ---
-  // Flowlet registration is soft state: a start (or a reconnect/epoch
-  // replay) can die in a fault window -- eaten by a silent partition,
-  // dropped frame, or a restart race -- and nothing downstream would
-  // ever retry. A rate update arriving on the current connection acks
-  // the flow's registration; while kConnected, any flow still unacked
-  // (or, with epoch filtering, still holding a rate from an older epoch
-  // than the newest observed) after this long since the last replay
-  // triggers another full replay. The service treats a duplicate start
-  // from the owning connection as "re-send my rate" (see
-  // ServiceStats::replayed_starts), closing the loop even when the
-  // original rate update was the casualty. 0 disables.
-  std::int64_t reregister_period_us = 250'000;
   // Mutation hook: when false, the agent tracks its rate lease but
   // never acts on expiry -- flows keep allocator rates indefinitely
   // after the service goes silent. Exists so the chaos suite can prove
@@ -345,7 +345,7 @@ class EndpointAgent : MessageSink {
     std::uint16_t rate_epoch = 0;
     // conn_gen_ when a rate update last arrived for this flow: the
     // registration ack. != conn_gen_ means the current connection has
-    // never confirmed this flow (see AgentConfig::reregister_period_us).
+    // never confirmed this flow (see kReregisterPeriodUs).
     std::uint64_t ack_conn_gen = 0;
   };
 
@@ -432,7 +432,7 @@ class EndpointAgent : MessageSink {
   std::uint64_t epoch_adopt_gen_ = 0;
   // Registration-refresh pacing: virtual/real time of the last full
   // flowlet replay (any cause), so unacked flows re-replay at most once
-  // per reregister_period_us.
+  // per kReregisterPeriodUs.
   std::int64_t last_replay_us_ = 0;
   // Liveness clocks.
   std::int64_t last_rx_us_ = 0;

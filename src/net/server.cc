@@ -16,6 +16,10 @@
 namespace ft::net {
 namespace {
 
+// Per-direction SPSC ring capacity of a shard with its own thread
+// (entries).
+constexpr std::size_t kShardQueueCapacity = 1 << 15;
+
 // Registry counters are striped relaxed atomics: monotonic tallies,
 // never used for synchronization.
 void bump(obs::Counter& c) { c.add(1); }
@@ -52,11 +56,10 @@ std::uint16_t claim_epoch() {
 
 }  // namespace
 
-// Per-thread counter set (one for the allocation thread, one per
-// shard), unified onto the metrics registry: each member is a named
-// registry counter (<prefix>.accepted, ...) resolved once here, so the
-// same tallies serve both the stats() aggregate (existing accessor,
-// now a shim summing the sets) and the export plane.
+// Per-thread counter set (one for the allocation side, one per shard),
+// unified onto the metrics registry: each member is a named registry
+// counter (<prefix>.accepted, ...) resolved once here, so the same
+// tallies serve both the stats() aggregate and the export plane.
 struct AllocatorService::Counters {
   obs::Counter& accepted;
   obs::Counter& closed;
@@ -131,9 +134,9 @@ struct AllocatorService::Counters {
   }
 };
 
-// Shard -> allocation thread: decoded flowlet lifecycle events. Starts
-// carry the route resolved on the shard thread (link ids), so the
-// allocation thread only touches the allocator.
+// Shard -> allocation side: decoded flowlet lifecycle events. Starts
+// carry the route resolved on the shard (link ids), so the allocation
+// side only touches the allocator.
 struct AllocatorService::UpEvent {
   enum class Kind : std::uint8_t { kStart, kEnd, kTrace, kRefresh };
   Kind kind = Kind::kEnd;
@@ -151,7 +154,7 @@ struct AllocatorService::UpEvent {
   std::array<std::uint32_t, core::kMaxRouteLinks> route{};
 };
 
-// Allocation thread -> shard: accepted-connection handoff, rate updates
+// Allocation side -> shard: accepted-connection handoff, rate updates
 // for keys the shard owns, and start rejections (cross-shard duplicate
 // keys) that undo the shard's tentative ownership.
 struct AllocatorService::DownEvent {
@@ -165,7 +168,7 @@ struct AllocatorService::DownEvent {
 
 // One endpoint connection. Routes decoded records straight into the
 // service (MessageSink keeps the parser callback-free). Owned by exactly
-// one shard; all its I/O happens on that shard's loop thread.
+// one shard; all its I/O happens on that shard's loop.
 struct AllocatorService::Connection : MessageSink {
   AllocatorService* svc = nullptr;
   Shard* shard = nullptr;
@@ -181,8 +184,6 @@ struct AllocatorService::Connection : MessageSink {
   // connection once it falls peer_timeout_us behind.
   std::int64_t last_rx_us = 0;
   std::unordered_set<std::uint32_t> owned_keys;
-
-  explicit Connection(std::size_t max_payload) : parser(max_payload) {}
 
   void on_flowlet_start(const core::FlowletStartMsg& m) override {
     svc->handle_start(*shard, *this, m);
@@ -200,26 +201,62 @@ struct AllocatorService::Connection : MessageSink {
   // them, which keeps an agent bug from taking the service down.
 };
 
-// One I/O shard: a private epoll loop + thread, the connections handed
-// to it, and the key ownership map for those connections. The inline
-// service is a degenerate shard (index -1) on the caller's loop with no
-// thread or rings.
-struct AllocatorService::Shard {
-  int index = -1;
-  IoLoop* loop = nullptr;
-  std::unique_ptr<IoLoop> owned_loop;
-  std::thread thread;
-  std::unique_ptr<SpscQueue<UpEvent>> up;      // shard -> allocation
-  std::unique_ptr<SpscQueue<DownEvent>> down;  // allocation -> shard
+// Ring delivery for a shard with its own thread: one SPSC ring per
+// direction, the eventfd the shard's loop watches, and ring telemetry.
+struct AllocatorService::Rings {
+  Rings(obs::MetricsRegistry& reg, const std::string& prefix)
+      : up(kShardQueueCapacity),
+        down(kShardQueueCapacity),
+        // Small on purpose: at most kMaxTraced echoes can be in flight,
+        // and a full ring just drops the echo (counted), never the rate.
+        trace_down(kMaxTraced),
+        wake_fd(::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK)),
+        up_depth_hw(reg.gauge(prefix + ".up_depth_hw")),
+        down_depth_hw(reg.gauge(prefix + ".down_depth_hw")),
+        wakeup_us(reg.histo(prefix + ".wakeup_to_drain_us")) {
+    FT_CHECK(wake_fd >= 0);
+  }
+  ~Rings() { ::close(wake_fd); }
+  Rings(const Rings&) = delete;
+  Rings& operator=(const Rings&) = delete;
+
+  // Stamps the first kick of a kick->drain cycle; drain_up consumes the
+  // stamp, so wakeup_us measures how long queued events waited for the
+  // allocation thread to wake (scheduling + epoll dispatch). RAW clock
+  // (obs::now_ns) like every other cross-thread trace delta.
+  void note_kick() {
+    std::int64_t expect = 0;
+    kick_t_ns.compare_exchange_strong(expect, obs::now_ns(),
+                                      std::memory_order_relaxed);
+  }
+
+  SpscQueue<UpEvent> up;      // shard -> allocation
+  SpscQueue<DownEvent> down;  // allocation -> shard
   // Completed trace marks headed back to the agent, kept off the hot
   // DownEvent ring (a mark is 60 bytes; rate events stay 24). Drained
   // into the owner's open batch alongside the round's rate updates.
-  std::unique_ptr<SpscQueue<core::TraceMarkMsg>> trace_down;
-  int wake_fd = -1;
-  // Key ownership: the owning connection plus the start-attempt tag
-  // (threaded mode; 0 inline). A kReject only cancels the attempt
-  // whose tag it echoes -- the key may have been ended and
-  // re-registered since, and that newer attempt must survive.
+  SpscQueue<core::TraceMarkMsg> trace_down;
+  int wake_fd;
+  // Occupancy high-water marks after each push, and the latency from
+  // the first pending eventfd kick to the allocation thread's drain.
+  obs::Gauge& up_depth_hw;
+  obs::Gauge& down_depth_hw;
+  obs::LatencyHisto& wakeup_us;
+  std::atomic<std::int64_t> kick_t_ns{0};  // 0 = no kick outstanding
+  bool kick_pending = false;  // up events pushed since the last kick
+};
+
+// One I/O shard: a loop, the connections handed to it, and the key
+// ownership map for those connections.
+struct AllocatorService::Shard {
+  int index = 0;
+  IoLoop* loop = nullptr;
+  std::unique_ptr<IoLoop> owned_loop;  // null: the caller's loop
+  std::unique_ptr<Rings> rings;        // null: direct delivery
+  // Key ownership: the owning connection plus the start-attempt tag. A
+  // kReject only cancels the attempt whose tag it echoes -- the key may
+  // have been ended and re-registered since, and that newer attempt
+  // must survive.
   struct Owner {
     Connection* conn = nullptr;
     std::uint64_t seq = 0;
@@ -228,23 +265,14 @@ struct AllocatorService::Shard {
   std::unordered_map<std::uint32_t, Owner> key_owner;
   std::uint64_t next_seq = 0;
   std::atomic<std::size_t> num_conns{0};
-  std::unique_ptr<Counters> stats;  // <prefix>.* registry counters
-  // Ring telemetry (threaded shards only; null inline): occupancy
-  // high-water marks after each push, and the latency from the first
-  // pending eventfd kick to the allocation thread's drain.
-  obs::Gauge* up_depth_hw = nullptr;
-  obs::Gauge* down_depth_hw = nullptr;
-  obs::LatencyHisto* wakeup_us = nullptr;
-  std::atomic<std::int64_t> kick_t_ns{0};  // 0 = no kick outstanding
+  std::unique_ptr<Counters> stats;  // net.shard<i>.* registry counters
   std::vector<int> touched;  // flush batching scratch
-  bool kick_alloc = false;   // pending alloc-thread wakeup (shard thread)
-  // Heartbeat/peer-timeout tick (shard loop; caller's loop inline). The
-  // fd snapshot is reused scratch: flush_conn inside the tick can
-  // close_conn, so the tick never iterates `conns` directly.
+  // Heartbeat/peer-timeout tick (on the shard's loop). The fd snapshot
+  // is reused scratch: flush_conn inside the tick can close_conn, so the
+  // tick never iterates `conns` directly.
   IoLoop::TimerId hb_timer = 0;
   std::vector<int> hb_scratch;
-
-  [[nodiscard]] bool threaded() const { return owned_loop != nullptr; }
+  std::thread thread;  // runs `loop` when the shard has rings
 };
 
 AllocatorService::AllocatorService(IoLoop& loop, core::Allocator& alloc,
@@ -260,9 +288,6 @@ AllocatorService::AllocatorService(IoLoop& loop, core::Allocator& alloc,
       flight_(cfg_.flight) {
   FT_CHECK(cfg_.tcp_port >= 0 || !cfg_.unix_path.empty());
   FT_CHECK(cfg_.num_shards >= 0);
-  // Shard threads drive their own loops concurrently; the sim transport
-  // is single-threaded by construction, so it only serves inline mode.
-  FT_CHECK(cfg_.num_shards == 0 || tr_->supports_threads());
   if (cfg_.metrics != nullptr) {
     metrics_ = cfg_.metrics;
   } else {
@@ -278,52 +303,43 @@ AllocatorService::AllocatorService(IoLoop& loop, core::Allocator& alloc,
   trace_drops_ = &metrics_->counter("svc.trace_drops");
   traced_.reserve(kMaxTraced);
   traced_pending_.reserve(kMaxTraced);
-  if (cfg_.num_shards == 0) {
-    inline_shard_ = std::make_unique<Shard>();
-    inline_shard_->loop = &loop_;
-    inline_shard_->stats =
-        std::make_unique<Counters>(*metrics_, "net.inline");
-    arm_heartbeat(*inline_shard_);
-  } else {
-    touched_shards_.assign(static_cast<std::size_t>(cfg_.num_shards),
-                           false);
+  // Shard threads drive their own loops concurrently; on a transport
+  // without threads every shard loop runs on the thread stepping it.
+  const bool threads = cfg_.num_shards > 0 && tr_->supports_threads();
+  if (threads) {
     alloc_wake_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
     FT_CHECK(alloc_wake_fd_ >= 0);
     loop_.add_fd(alloc_wake_fd_, EPOLLIN, [this](std::uint32_t) {
       drain_eventfd(alloc_wake_fd_);
       for (auto& s : shards_) drain_up(*s);
     });
-    for (int i = 0; i < cfg_.num_shards; ++i) {
-      auto s = std::make_unique<Shard>();
-      s->index = i;
+  }
+  for (int i = 0; i < std::max(cfg_.num_shards, 1); ++i) {
+    auto s = std::make_unique<Shard>();
+    s->index = i;
+    const std::string prefix = "net.shard" + std::to_string(i);
+    s->stats = std::make_unique<Counters>(*metrics_, prefix);
+    s->loop = &loop_;
+    if (cfg_.num_shards > 0) {
       s->owned_loop = tr_->make_loop();
-      s->loop = s->owned_loop.get();
-      const std::string prefix = "net.shard" + std::to_string(i);
-      s->stats = std::make_unique<Counters>(*metrics_, prefix);
-      s->up_depth_hw = &metrics_->gauge(prefix + ".up_depth_hw");
-      s->down_depth_hw = &metrics_->gauge(prefix + ".down_depth_hw");
-      s->wakeup_us = &metrics_->histo(prefix + ".wakeup_to_drain_us");
       s->owned_loop->bind_metrics(*metrics_, prefix);
-      s->up = std::make_unique<SpscQueue<UpEvent>>(
-          cfg_.shard_queue_capacity);
-      s->down = std::make_unique<SpscQueue<DownEvent>>(
-          cfg_.shard_queue_capacity);
-      // Small on purpose: at most kMaxTraced echoes can be in flight,
-      // and a full ring just drops the echo (counted), never the rate.
-      s->trace_down = std::make_unique<SpscQueue<core::TraceMarkMsg>>(
-          kMaxTraced);
-      s->wake_fd = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-      FT_CHECK(s->wake_fd >= 0);
+      s->loop = s->owned_loop.get();
+    }
+    if (threads) {
+      s->rings = std::make_unique<Rings>(*metrics_, prefix);
       Shard* sp = s.get();
-      s->loop->add_fd(s->wake_fd, EPOLLIN, [this, sp](std::uint32_t) {
-        drain_eventfd(sp->wake_fd);
+      s->loop->add_fd(s->rings->wake_fd, EPOLLIN, [this, sp](std::uint32_t) {
+        drain_eventfd(sp->rings->wake_fd);
         drain_down(*sp);
       });
-      // Armed before the shard thread exists, so the timer insertion
-      // never races the loop.
-      arm_heartbeat(*s);
-      shards_.push_back(std::move(s));
     }
+    // Armed before any shard thread exists, so the timer insertion
+    // never races the loop.
+    arm_heartbeat(*s);
+    shards_.push_back(std::move(s));
+  }
+  touched_shards_.assign(shards_.size(), false);
+  if (threads) {
     shard_cpu_map_ = core::CpuMap::make(cfg_.num_shards, cfg_.pin);
     for (auto& s : shards_) {
       Shard* sp = s.get();
@@ -348,60 +364,51 @@ AllocatorService::AllocatorService(IoLoop& loop, core::Allocator& alloc,
 }
 
 AllocatorService::~AllocatorService() {
-  // Stop shard threads first; after the joins every shard's state is
-  // owned by this thread. stopping_ turns any in-flight push_up spin
-  // into a drop so a full ring cannot wedge the join.
+  // Stop shard threads first; after the joins this thread owns every
+  // shard. stopping_ turns any in-flight up() spin into a drop so a full
+  // ring cannot wedge the join.
   stopping_.store(true, std::memory_order_release);
-  for (auto& s : shards_) s->loop->stop();
+  for (auto& s : shards_) {
+    if (s->thread.joinable()) s->loop->stop();
+  }
   for (auto& s : shards_) {
     if (s->thread.joinable()) s->thread.join();
   }
-  // Apply lifecycle events still queued, then end everything the shard
-  // connections still own -- exactly as if every endpoint had sent
-  // flowlet-end for each key.
-  for (auto& s : shards_) drain_up(*s);
+  // Apply what the rings still hold, then retire them: the teardown
+  // below runs on direct delivery. Accepted sockets still sitting in the
+  // down ring as kConn handoffs were never adopted; close them here or
+  // they leak.
   for (auto& s : shards_) {
-    // Accepted sockets still sitting in the down ring as kConn
-    // handoffs were never adopted; close them here or they leak.
+    if (s->rings == nullptr) continue;
+    drain_up(*s);
     DownEvent ev;
-    while (s->down->try_pop(ev)) {
+    while (s->rings->down.try_pop(ev)) {
       if (ev.kind == DownEvent::Kind::kConn) {
         tr_->close(ev.fd);
         bump(alloc_stats_->closed);
+      } else if (ev.kind == DownEvent::Kind::kReject) {
+        apply_down(*s, ev);
       }
     }
+    s->loop->del_fd(s->rings->wake_fd);
+    s->rings.reset();
   }
+  // End everything the connections still own, exactly as if every
+  // endpoint had closed: connections in `conns` order, keys in
+  // `owned_keys` order (a restarted service reuses the allocator, whose
+  // slot free list makes this order part of the trajectory).
   for (auto& s : shards_) {
-    for (auto& [fd, conn] : s->conns) {
-      for (const std::uint32_t key : conn->owned_keys) {
-        const auto it = key_shard_.find(key);
-        if (it == key_shard_.end()) continue;  // start never applied
-        FT_CHECK(alloc_.flowlet_end(key));
-        key_shard_.erase(it);
-        bump(alloc_stats_->flowlet_ends);
-      }
-      tr_->close(fd);
-      bump(s->stats->closed);
-    }
-    s->conns.clear();
-    if (s->wake_fd >= 0) ::close(s->wake_fd);
+    while (!s->conns.empty()) close_conn(*s, s->conns.begin()->first);
+    if (s->hb_timer != 0) s->loop->cancel_timer(s->hb_timer);
   }
   // Anything still in key_shard_ lost its flowlet-end on the way here
-  // (e.g. a kEnd dropped by push_up while stopping): end it so the
+  // (e.g. a kEnd dropped by up() while stopping): end it so the
   // caller-owned allocator is left clean.
   for (const auto& [key, shard_idx] : key_shard_) {
     FT_CHECK(alloc_.flowlet_end(key));
     bump(alloc_stats_->flowlet_ends);
   }
   key_shard_.clear();
-  if (inline_shard_) {
-    while (!inline_shard_->conns.empty()) {
-      close_conn(*inline_shard_, inline_shard_->conns.begin()->first);
-    }
-  }
-  if (inline_shard_ && inline_shard_->hb_timer != 0) {
-    loop_.cancel_timer(inline_shard_->hb_timer);
-  }
   if (iter_timer_ != 0) loop_.cancel_timer(iter_timer_);
   for (const auto& [fd, id] : accept_retry_timer_) loop_.cancel_timer(id);
   if (alloc_wake_fd_ >= 0) {
@@ -455,18 +462,11 @@ void AllocatorService::accept_ready(int listen_fd) {
     }
     if (listen_fd == tcp_listen_fd_) tr_->set_nodelay(fd);
     bump(alloc_stats_->accepted);
-    if (inline_shard_) {
-      adopt_conn(*inline_shard_, fd);
-      continue;
-    }
     // Round-robin handoff: the shard registers the fd on its own loop.
     Shard& s = *shards_[next_shard_];
     next_shard_ = (next_shard_ + 1) % shards_.size();
-    DownEvent ev;
-    ev.kind = DownEvent::Kind::kConn;
-    ev.fd = fd;
-    if (push_down(s, ev)) {
-      wake_shard(s);
+    if (down(s, {.kind = DownEvent::Kind::kConn, .fd = fd})) {
+      wake(s);
     } else {
       tr_->close(fd);  // shard wedged at capacity; shed the connection
       bump(alloc_stats_->closed);  // keep accepted - closed = live
@@ -479,7 +479,7 @@ void AllocatorService::adopt_conn(Shard& s, int fd) {
   if (cfg_.send_buffer_bytes > 0) {
     tr_->set_sndbuf(fd, cfg_.send_buffer_bytes);
   }
-  auto conn = std::make_unique<Connection>(cfg_.max_frame_payload);
+  auto conn = std::make_unique<Connection>();
   conn->svc = this;
   conn->shard = &s;
   conn->fd = fd;
@@ -495,22 +495,15 @@ void AllocatorService::adopt_conn(Shard& s, int fd) {
 void AllocatorService::conn_ready(Shard& s, Connection& c,
                                   std::uint32_t events) {
   const int fd = c.fd;  // c may be destroyed by close_conn below
-  const auto done = [&] {
-    if (s.kick_alloc) {
-      s.kick_alloc = false;
-      note_kick(s);
-      kick_eventfd(alloc_wake_fd_);
-    }
-  };
   if (events & (EPOLLHUP | EPOLLERR)) {
     close_conn(s, fd);
-    done();
+    kick_alloc(s);
     return;
   }
   if (events & EPOLLOUT) {
     try_write(s, c);
     if (!s.conns.contains(fd)) {
-      done();
+      kick_alloc(s);
       return;
     }
   }
@@ -540,13 +533,11 @@ void AllocatorService::conn_ready(Shard& s, Connection& c,
       break;
     }
   }
-  done();
+  kick_alloc(s);
 }
 
-bool AllocatorService::resolve_route(
-    const core::FlowletStartMsg& m,
-    std::array<LinkId, core::kMaxRouteLinks>& route,
-    std::uint8_t& len) const {
+bool AllocatorService::resolve_route(const core::FlowletStartMsg& m,
+                                     UpEvent& ev) const {
   const auto hosts = topo_.num_hosts();
   if (m.src_host >= hosts || m.dst_host >= hosts ||
       m.src_host == m.dst_host) {
@@ -554,18 +545,18 @@ bool AllocatorService::resolve_route(
   }
   const auto path = topo_.host_path(topo_.host(m.src_host),
                                     topo_.host(m.dst_host), m.flow_key);
-  len = 0;
+  ev.route_len = 0;
   for (const LinkId l : path) {
-    FT_CHECK(len < core::kMaxRouteLinks);
-    route[len++] = l;
+    FT_CHECK(ev.route_len < core::kMaxRouteLinks);
+    ev.route[ev.route_len++] = l.value();
   }
-  return len > 0;
+  return ev.route_len > 0;
 }
 
 void AllocatorService::handle_start(Shard& s, Connection& c,
                                     const core::FlowletStartMsg& m) {
-  std::array<LinkId, core::kMaxRouteLinks> route;
-  std::uint8_t len = 0;
+  UpEvent ev;
+  ev.key = m.flow_key;
   const auto owner = s.key_owner.find(m.flow_key);
   if (owner != s.key_owner.end()) {
     if (owner->second.conn == &c) {
@@ -576,14 +567,8 @@ void AllocatorService::handle_start(Shard& s, Connection& c,
       // re-emits the rate -- without this, the threshold filter would
       // starve the flow until its rate drifted.
       bump(s.stats->replayed_starts);
-      if (!s.threaded()) {
-        alloc_.invalidate_notification(m.flow_key);
-      } else {
-        UpEvent ev;
-        ev.kind = UpEvent::Kind::kRefresh;
-        ev.key = m.flow_key;
-        push_up(s, ev);
-      }
+      ev.kind = UpEvent::Kind::kRefresh;
+      up(s, ev);
       return;
     }
     // Owned by another connection (stale owner from a dying socket, or
@@ -592,36 +577,18 @@ void AllocatorService::handle_start(Shard& s, Connection& c,
     bump(s.stats->rejected_starts);
     return;
   }
-  if (!resolve_route(m, route, len)) {
+  if (!resolve_route(m, ev)) {
     bump(s.stats->rejected_starts);
     return;
   }
-  if (!s.threaded()) {
-    const double weight =
-        1e9 * (m.weight_milli == 0 ? 1000 : m.weight_milli) / 1000.0;
-    if (!alloc_.flowlet_start(m.flow_key,
-                              std::span<const LinkId>(route.data(), len),
-                              core::Utility::log_utility(weight))) {
-      bump(s.stats->rejected_starts);
-      return;
-    }
-    s.key_owner.emplace(m.flow_key, Shard::Owner{&c, 0});
-    c.owned_keys.insert(m.flow_key);
-    bump(s.stats->flowlet_starts);
-    return;
-  }
-  // Tentative ownership: the allocation thread is the cross-shard
+  // Tentative ownership: the allocation side is the cross-shard
   // authority and sends kReject to undo a duplicate.
   s.key_owner.emplace(m.flow_key, Shard::Owner{&c, ++s.next_seq});
   c.owned_keys.insert(m.flow_key);
-  UpEvent ev;
   ev.kind = UpEvent::Kind::kStart;
-  ev.key = m.flow_key;
   ev.seq = s.next_seq;
   ev.weight_milli = m.weight_milli;
-  ev.route_len = len;
-  for (std::uint8_t i = 0; i < len; ++i) ev.route[i] = route[i].value();
-  push_up(s, ev);
+  up(s, ev);
 }
 
 void AllocatorService::handle_end(Shard& s, Connection& c,
@@ -633,16 +600,7 @@ void AllocatorService::handle_end(Shard& s, Connection& c,
   }
   s.key_owner.erase(it);
   c.owned_keys.erase(m.flow_key);
-  if (!s.threaded()) {
-    FT_CHECK(alloc_.flowlet_end(m.flow_key));
-    bump(s.stats->flowlet_ends);
-    if (!traced_.empty()) traced_.erase(m.flow_key);
-    return;
-  }
-  UpEvent ev;
-  ev.kind = UpEvent::Kind::kEnd;
-  ev.key = m.flow_key;
-  push_up(s, ev);
+  up(s, {.kind = UpEvent::Kind::kEnd, .key = m.flow_key});
 }
 
 void AllocatorService::handle_trace_mark(Shard& s,
@@ -650,33 +608,17 @@ void AllocatorService::handle_trace_mark(Shard& s,
   bump(*trace_marks_);
   const std::int64_t t_ingest = obs::now_ns();
   // Only flows this shard owns can complete the loop (the mark follows
-  // its flowlet_start in the same batch, so ownership -- tentative in
-  // threaded mode -- is already registered when it arrives).
+  // its flowlet_start in the same batch, so the tentative ownership is
+  // already registered when it arrives).
   if (!s.key_owner.contains(m.flow_key)) {
     bump(*trace_drops_);
     return;
   }
-  if (!s.threaded()) {
-    if (traced_.size() >= kMaxTraced) {
-      bump(*trace_drops_);
-      return;
-    }
-    TraceCtx ctx;
-    ctx.trace_id = m.trace_id;
-    ctx.t_agent_send_ns = m.t_ns[core::kHopAgentSend];
-    ctx.t_shard_ingest_ns = t_ingest;
-    if (traced_.emplace(m.flow_key, ctx)) {
-      traced_pending_.push_back(m.flow_key);
-    }
-    return;
-  }
-  UpEvent ev;
-  ev.kind = UpEvent::Kind::kTrace;
-  ev.key = m.flow_key;
-  ev.trace_id = m.trace_id;
-  ev.t_origin_ns = m.t_ns[core::kHopAgentSend];
-  ev.t_ingest_ns = t_ingest;
-  push_up(s, ev);
+  up(s, {.kind = UpEvent::Kind::kTrace,
+         .key = m.flow_key,
+         .trace_id = m.trace_id,
+         .t_origin_ns = m.t_ns[core::kHopAgentSend],
+         .t_ingest_ns = t_ingest});
 }
 
 void AllocatorService::handle_heartbeat(Shard& s,
@@ -728,13 +670,7 @@ void AllocatorService::heartbeat_tick(Shard& s) {
       flush_conn(s, c);
     }
   }
-  // close_conn on a threaded shard pushed kEnd events up; mirror
-  // conn_ready's deferred wakeup so the allocation thread drains them.
-  if (s.kick_alloc) {
-    s.kick_alloc = false;
-    note_kick(s);
-    kick_eventfd(alloc_wake_fd_);
-  }
+  kick_alloc(s);  // close_conn sent kEnd events up
 }
 
 void AllocatorService::queue_trace_echo(Shard& s, core::TraceMarkMsg mark) {
@@ -753,166 +689,197 @@ void AllocatorService::queue_trace_echo(Shard& s, core::TraceMarkMsg mark) {
   }
 }
 
-void AllocatorService::push_up(Shard& s, const UpEvent& ev) {
-  // Lifecycle events are lossless: spin until the allocation thread
-  // drains (it drains on every wakeup and at every round start). The
-  // periodic re-kick covers an allocation thread parked in epoll_wait.
-  std::uint32_t spins = 0;
-  while (!s.up->try_push(ev)) {
-    if (stopping_.load(std::memory_order_acquire)) {
-      bump(s.stats->queue_drops);
+void AllocatorService::apply_up(Shard& s, const UpEvent& ev) {
+  ++round_churn_;
+  const auto it = key_shard_.find(ev.key);
+  // Refresh, trace and end act only on a key this shard's start won: a
+  // cross-shard duplicate was rejected, and its trace and end die with
+  // it. FIFO delivery applied the kStart first.
+  const bool won = it != key_shard_.end() &&
+                   it->second == static_cast<std::uint32_t>(s.index);
+  switch (ev.kind) {
+    case UpEvent::Kind::kStart:
+      apply_start(s, ev, it != key_shard_.end());
       return;
-    }
-    if ((spins++ & 0x3FF) == 0) {
-      note_kick(s);
-      kick_eventfd(alloc_wake_fd_);
-    }
-    std::this_thread::yield();
-  }
-  s.kick_alloc = true;
-  if (s.up_depth_hw != nullptr) {
-    s.up_depth_hw->update_max(
-        static_cast<std::int64_t>(s.up->size_approx()));
-  }
-}
-
-bool AllocatorService::push_down(Shard& s, const DownEvent& ev) {
-  // Bounded: the shard may itself be blocked in push_up waiting for us,
-  // so the allocation thread must never wait forever. Every caller
-  // handles a false return (dropped rate updates are re-armed through
-  // invalidate_notification; a dropped kConn is closed; a dropped
-  // kReject leaves a stale shard entry that conn close cleans up).
-  for (std::uint32_t spin = 0; spin < (1u << 14); ++spin) {
-    if (s.down->try_push(ev)) {
-      if (s.down_depth_hw != nullptr) {
-        s.down_depth_hw->update_max(
-            static_cast<std::int64_t>(s.down->size_approx()));
+    case UpEvent::Kind::kRefresh:
+      if (won) alloc_.invalidate_notification(ev.key);
+      return;
+    case UpEvent::Kind::kTrace:
+      if (!won || traced_.size() >= kMaxTraced) {
+        bump(*trace_drops_);
+      } else if (traced_.emplace(ev.key, TraceCtx{ev.trace_id,
+                                                  ev.t_origin_ns,
+                                                  ev.t_ingest_ns})) {
+        traced_pending_.push_back(ev.key);
       }
-      return true;
-    }
-    if ((spin & 0xFF) == 0) wake_shard(s);
-    std::this_thread::yield();
+      return;
+    case UpEvent::Kind::kEnd:
+      if (!won) {
+        bump(alloc_stats_->unknown_ends);
+        return;
+      }
+      FT_CHECK(alloc_.flowlet_end(ev.key));
+      key_shard_.erase(it);
+      bump(alloc_stats_->flowlet_ends);
+      if (!traced_.empty()) traced_.erase(ev.key);
+      return;
   }
-  return false;
 }
 
-void AllocatorService::note_kick(Shard& s) {
-  // Stamp the first kick of a kick->drain cycle; drain_up consumes the
-  // stamp, so the histogram measures how long queued events waited for
-  // the allocation thread to wake (scheduling + epoll dispatch). RAW
-  // clock (obs::now_ns) like every other cross-thread trace delta.
-  if (s.wakeup_us == nullptr) return;
-  std::int64_t expect = 0;
-  s.kick_t_ns.compare_exchange_strong(expect, obs::now_ns(),
-                                      std::memory_order_relaxed);
-}
-
-void AllocatorService::wake_shard(Shard& s) { kick_eventfd(s.wake_fd); }
-
-void AllocatorService::apply_start(Shard& s, const UpEvent& ev) {
-  const auto reject = [&] {
-    bump(alloc_stats_->rejected_starts);
-    DownEvent rej;
-    rej.kind = DownEvent::Kind::kReject;
-    rej.key = ev.key;
-    rej.seq = ev.seq;
-    if (push_down(s, rej)) {
-      wake_shard(s);
-    } else {
-      // The shard keeps a stale owner entry until the connection
-      // closes; ends for it resolve as unknown here.
-      bump(alloc_stats_->queue_drops);
-    }
-  };
-  if (key_shard_.contains(ev.key)) {
-    reject();
-    return;
-  }
+void AllocatorService::apply_start(Shard& s, const UpEvent& ev,
+                                   bool taken) {
   std::array<LinkId, core::kMaxRouteLinks> route;
   for (std::uint8_t i = 0; i < ev.route_len; ++i) {
     route[i] = LinkId(ev.route[i]);
   }
   const double weight =
       1e9 * (ev.weight_milli == 0 ? 1000 : ev.weight_milli) / 1000.0;
-  if (!alloc_.flowlet_start(
+  if (!taken &&
+      alloc_.flowlet_start(
           ev.key, std::span<const LinkId>(route.data(), ev.route_len),
           core::Utility::log_utility(weight))) {
-    reject();
+    key_shard_.emplace(ev.key, static_cast<std::uint32_t>(s.index));
+    bump(alloc_stats_->flowlet_starts);
     return;
   }
-  key_shard_.emplace(ev.key, static_cast<std::uint32_t>(s.index));
-  bump(alloc_stats_->flowlet_starts);
+  bump(alloc_stats_->rejected_starts);
+  if (down(s, {.kind = DownEvent::Kind::kReject,
+               .key = ev.key,
+               .seq = ev.seq})) {
+    wake(s);
+  } else {
+    // The shard keeps a stale owner entry until the connection
+    // closes; ends for it resolve as unknown here.
+    bump(alloc_stats_->queue_drops);
+  }
+}
+
+void AllocatorService::apply_down(Shard& s, const DownEvent& ev) {
+  switch (ev.kind) {
+    case DownEvent::Kind::kConn:
+      adopt_conn(s, ev.fd);
+      return;
+    case DownEvent::Kind::kRate:
+      queue_update(s, ev.key, ev.rate_code);
+      return;
+    case DownEvent::Kind::kReject: {
+      // Only cancel the exact attempt this reject answers (see
+      // Shard::Owner).
+      const auto it = s.key_owner.find(ev.key);
+      if (it == s.key_owner.end() || it->second.seq != ev.seq) return;
+      it->second.conn->owned_keys.erase(ev.key);
+      s.key_owner.erase(it);
+      return;
+    }
+  }
+}
+
+void AllocatorService::up(Shard& s, const UpEvent& ev) {
+  if (s.rings == nullptr) {
+    apply_up(s, ev);
+    return;
+  }
+  Rings& r = *s.rings;
+  // Lifecycle events are lossless: spin until the allocation thread
+  // drains (it drains on every wakeup and at every round start). The
+  // periodic re-kick covers an allocation thread parked in epoll_wait.
+  std::uint32_t spins = 0;
+  while (!r.up.try_push(ev)) {
+    if (stopping_.load(std::memory_order_acquire)) {
+      bump(s.stats->queue_drops);
+      return;
+    }
+    if ((spins++ & 0x3FF) == 0) {
+      r.note_kick();
+      kick_eventfd(alloc_wake_fd_);
+    }
+    std::this_thread::yield();
+  }
+  r.kick_pending = true;
+  r.up_depth_hw.update_max(static_cast<std::int64_t>(r.up.size_approx()));
+}
+
+bool AllocatorService::down(Shard& s, const DownEvent& ev) {
+  if (s.rings == nullptr) {
+    apply_down(s, ev);
+    return true;
+  }
+  Rings& r = *s.rings;
+  // Bounded: the shard may itself be blocked in up() waiting for us, so
+  // the allocation thread must never wait forever. Every caller handles
+  // a false return (dropped rate updates are re-armed through
+  // invalidate_notification; a dropped kConn is closed; a dropped
+  // kReject leaves a stale shard entry that conn close cleans up).
+  for (std::uint32_t spin = 0; spin < (1u << 14); ++spin) {
+    if (r.down.try_push(ev)) {
+      const std::size_t depth = r.down.size_approx();
+      r.down_depth_hw.update_max(static_cast<std::int64_t>(depth));
+      round_down_hw_ = std::max(round_down_hw_, depth);
+      return true;
+    }
+    if ((spin & 0xFF) == 0) kick_eventfd(r.wake_fd);
+    std::this_thread::yield();
+  }
+  return false;
+}
+
+void AllocatorService::echo(Shard& s, const core::TraceMarkMsg& mark) {
+  if (s.rings == nullptr) {
+    queue_trace_echo(s, mark);
+  } else if (!s.rings->trace_down.try_push(mark)) {
+    bump(*trace_drops_);  // a full ring costs the echo, never the rate
+  }
+}
+
+void AllocatorService::wake(Shard& s) {
+  if (s.rings != nullptr) {
+    kick_eventfd(s.rings->wake_fd);
+  } else {
+    // Direct kRate delivery queued batches; only a fanout queues any,
+    // so waking after a kConn or kReject flushes nothing mid-parse.
+    flush_touched(s);
+  }
+}
+
+void AllocatorService::kick_alloc(Shard& s) {
+  if (s.rings == nullptr || !s.rings->kick_pending) return;
+  s.rings->kick_pending = false;
+  s.rings->note_kick();
+  kick_eventfd(alloc_wake_fd_);
 }
 
 void AllocatorService::drain_up(Shard& s) {
-  if (s.wakeup_us != nullptr) {
-    const std::int64_t t =
-        s.kick_t_ns.exchange(0, std::memory_order_relaxed);
-    if (t > 0) {
-      const double us =
-          static_cast<double>(obs::now_ns() - t) / 1000.0;
-      s.wakeup_us->record_signed(static_cast<std::int64_t>(us));
-      round_wakeup_max_us_ = std::max(round_wakeup_max_us_, us);
-    }
-    round_up_hw_ = std::max(round_up_hw_, s.up->size_approx());
+  if (s.rings == nullptr) return;  // direct delivery applied it all
+  Rings& r = *s.rings;
+  const std::int64_t t = r.kick_t_ns.exchange(0, std::memory_order_relaxed);
+  if (t > 0) {
+    const double us = static_cast<double>(obs::now_ns() - t) / 1000.0;
+    r.wakeup_us.record_signed(static_cast<std::int64_t>(us));
+    round_wakeup_max_us_ = std::max(round_wakeup_max_us_, us);
   }
+  round_up_hw_ = std::max(round_up_hw_, r.up.size_approx());
   UpEvent ev;
-  while (s.up->try_pop(ev)) {
-    ++round_churn_;
-    if (ev.kind == UpEvent::Kind::kStart) {
-      apply_start(s, ev);
-      continue;
-    }
-    if (ev.kind == UpEvent::Kind::kRefresh) {
-      // Registration refresh forwarded from a shard: re-arm the flow's
-      // notification (only if this shard's start actually won the key).
-      const auto it = key_shard_.find(ev.key);
-      if (it != key_shard_.end() &&
-          it->second == static_cast<std::uint32_t>(s.index)) {
-        alloc_.invalidate_notification(ev.key);
-      }
-      continue;
-    }
-    if (ev.kind == UpEvent::Kind::kTrace) {
-      // Adopt the context only if this shard's start actually won the
-      // key (a cross-shard duplicate was rejected above and its trace
-      // dies with it). FIFO order guarantees the kStart was applied
-      // before its mark.
-      const auto it = key_shard_.find(ev.key);
-      if (it == key_shard_.end() ||
-          it->second != static_cast<std::uint32_t>(s.index) ||
-          traced_.size() >= kMaxTraced) {
-        bump(*trace_drops_);
-        continue;
-      }
-      TraceCtx ctx;
-      ctx.trace_id = ev.trace_id;
-      ctx.t_agent_send_ns = ev.t_origin_ns;
-      ctx.t_shard_ingest_ns = ev.t_ingest_ns;
-      if (traced_.emplace(ev.key, ctx)) {
-        traced_pending_.push_back(ev.key);
-      }
-      continue;
-    }
-    const auto it = key_shard_.find(ev.key);
-    if (it == key_shard_.end() ||
-        it->second != static_cast<std::uint32_t>(s.index)) {
-      bump(alloc_stats_->unknown_ends);
-      continue;
-    }
-    FT_CHECK(alloc_.flowlet_end(ev.key));
-    key_shard_.erase(it);
-    bump(alloc_stats_->flowlet_ends);
-    if (!traced_.empty()) traced_.erase(ev.key);
-  }
+  while (r.up.try_pop(ev)) apply_up(s, ev);
+}
+
+void AllocatorService::drain_down(Shard& s) {
+  Rings& r = *s.rings;
+  DownEvent ev;
+  while (r.down.try_pop(ev)) apply_down(s, ev);
+  // Echo completed trace marks after the rate drain so a mark lands
+  // behind its flow's rate record when both arrive in the same cycle.
+  core::TraceMarkMsg mark;
+  while (r.trace_down.try_pop(mark)) queue_trace_echo(s, mark);
+  flush_touched(s);
+  kick_alloc(s);
 }
 
 void AllocatorService::queue_update(Shard& s, std::uint32_t key,
                                     std::uint16_t rate_code) {
   const auto it = s.key_owner.find(key);
   if (it == s.key_owner.end()) {
-    // Ended or culled between emission and queueing: the update dies
-    // here, so the drop must be visible to the conservation oracle.
+    // Ended or culled while the update was in the ring: it dies here,
+    // so the drop must be visible to the conservation oracle.
     bump(s.stats->updates_orphaned);
     return;
   }
@@ -942,42 +909,6 @@ void AllocatorService::flush_touched(Shard& s) {
     }
   }
   s.touched.clear();
-}
-
-void AllocatorService::drain_down(Shard& s) {
-  s.touched.clear();
-  DownEvent ev;
-  while (s.down->try_pop(ev)) {
-    switch (ev.kind) {
-      case DownEvent::Kind::kConn:
-        adopt_conn(s, ev.fd);
-        break;
-      case DownEvent::Kind::kRate:
-        queue_update(s, ev.key, ev.rate_code);
-        break;
-      case DownEvent::Kind::kReject: {
-        // Only cancel the exact attempt this reject answers (see
-        // Shard::Owner).
-        const auto it = s.key_owner.find(ev.key);
-        if (it == s.key_owner.end() || it->second.seq != ev.seq) break;
-        it->second.conn->owned_keys.erase(ev.key);
-        s.key_owner.erase(it);
-        break;
-      }
-    }
-  }
-  // Echo completed trace marks after the rate drain so a mark lands
-  // behind its flow's rate record when both arrive in the same cycle.
-  if (s.trace_down) {
-    core::TraceMarkMsg mark;
-    while (s.trace_down->try_pop(mark)) queue_trace_echo(s, mark);
-  }
-  flush_touched(s);
-  if (s.kick_alloc) {
-    s.kick_alloc = false;
-    note_kick(s);
-    kick_eventfd(alloc_wake_fd_);
-  }
 }
 
 void AllocatorService::run_allocation_round() {
@@ -1030,60 +961,45 @@ void AllocatorService::run_allocation_round() {
     mark.t_ns[core::kHopEmitDone] = st.emit_end_ns;
     return mark;
   };
-  std::uint32_t batches = 0;
-  if (inline_shard_) {
-    Shard& s = *inline_shard_;
-    s.touched.clear();
-    for (const core::RateUpdate& u : updates_scratch_) {
-      const auto key = static_cast<std::uint32_t>(u.key);
-      queue_update(s, key, u.rate_code);
+  std::fill(touched_shards_.begin(), touched_shards_.end(), false);
+  for (const core::RateUpdate& u : updates_scratch_) {
+    const auto key = static_cast<std::uint32_t>(u.key);
+    const auto it = key_shard_.find(key);
+    if (it == key_shard_.end()) {
+      // No service flow owns the key (ended or culled since emission,
+      // or registered on the allocator directly): the update dies here,
+      // so the drop must be visible to the conservation oracle.
+      bump(alloc_stats_->updates_orphaned);
+      continue;
+    }
+    // Copied, not held: direct delivery is reentrant, and a flush that
+    // drops a stalled peer erases its keys before down() returns.
+    const std::uint32_t i = it->second;
+    if (down(*shards_[i], {.kind = DownEvent::Kind::kRate,
+                           .rate_code = u.rate_code,
+                           .key = key})) {
+      touched_shards_[i] = true;
       if (!traced_.empty()) {
         if (const TraceCtx* ctx = traced_.find(key)) {
-          queue_trace_echo(s, make_echo(key, *ctx));
+          echo(*shards_[i], make_echo(key, *ctx));
           traced_.erase(key);
         }
       }
+    } else {
+      // The emitted update is gone and the allocator already recorded
+      // it as notified; un-record it so the next round re-emits
+      // instead of the endpoint keeping a stale rate until the
+      // allocation drifts past the threshold again.
+      alloc_.invalidate_notification(key);
+      bump(alloc_stats_->queue_drops);
+      ++round_queue_drops_;
     }
-    batches = static_cast<std::uint32_t>(s.touched.size());
-    flush_touched(s);
-  } else {
-    std::fill(touched_shards_.begin(), touched_shards_.end(), false);
-    for (const core::RateUpdate& u : updates_scratch_) {
-      const auto key = static_cast<std::uint32_t>(u.key);
-      const auto it = key_shard_.find(key);
-      if (it == key_shard_.end()) continue;
-      DownEvent ev;
-      ev.kind = DownEvent::Kind::kRate;
-      ev.key = key;
-      ev.rate_code = u.rate_code;
-      if (push_down(*shards_[it->second], ev)) {
-        touched_shards_[it->second] = true;
-        if (!traced_.empty()) {
-          if (const TraceCtx* ctx = traced_.find(key)) {
-            // Echo rides its own ring; a full ring costs the echo only,
-            // never the rate.
-            if (!shards_[it->second]->trace_down->try_push(
-                    make_echo(key, *ctx))) {
-              bump(*trace_drops_);
-            }
-            traced_.erase(key);
-          }
-        }
-      } else {
-        // The emitted update is gone and the allocator already recorded
-        // it as notified; un-record it so the next round re-emits
-        // instead of the endpoint keeping a stale rate until the
-        // allocation drifts past the threshold again.
-        alloc_.invalidate_notification(key);
-        bump(alloc_stats_->queue_drops);
-        ++round_queue_drops_;
-      }
-    }
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      if (touched_shards_[i]) {
-        wake_shard(*shards_[i]);
-        ++batches;
-      }
+  }
+  std::uint32_t batches = 0;
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    if (touched_shards_[i]) {
+      wake(*shards_[i]);
+      ++batches;
     }
   }
   const std::int64_t t2 = obs::now_ns();
@@ -1115,16 +1031,13 @@ void AllocatorService::run_allocation_round() {
       std::min<std::uint64_t>(round_queue_drops_, 0xFFFFFFFFu));
   rec.up_ring_hw = static_cast<std::uint16_t>(
       std::min<std::size_t>(round_up_hw_, 0xFFFF));
-  std::size_t down_hw = 0;
-  for (const auto& s : shards_) {
-    down_hw = std::max(down_hw, s->down->size_approx());
-  }
   rec.down_ring_hw = static_cast<std::uint16_t>(
-      std::min<std::size_t>(down_hw, 0xFFFF));
+      std::min<std::size_t>(round_down_hw_, 0xFFFF));
   flight_.record(rec);
   round_churn_ = 0;
   round_wakeup_max_us_ = 0.0;
   round_up_hw_ = 0;
+  round_down_hw_ = 0;
   round_queue_drops_ = 0;
 }
 
@@ -1182,15 +1095,7 @@ void AllocatorService::close_conn(Shard& s, int fd) {
   // had sent flowlet-end for each key.
   for (const std::uint32_t key : c.owned_keys) {
     s.key_owner.erase(key);
-    if (s.threaded()) {
-      UpEvent ev;
-      ev.kind = UpEvent::Kind::kEnd;
-      ev.key = key;
-      push_up(s, ev);
-    } else {
-      FT_CHECK(alloc_.flowlet_end(key));
-      bump(s.stats->flowlet_ends);
-    }
+    up(s, {.kind = UpEvent::Kind::kEnd, .key = key});
   }
   s.loop->del_fd(fd);
   tr_->close(fd);
@@ -1202,14 +1107,12 @@ void AllocatorService::close_conn(Shard& s, int fd) {
 ServiceStats AllocatorService::stats() const {
   ServiceStats out;
   alloc_stats_->add_to(out);
-  if (inline_shard_) inline_shard_->stats->add_to(out);
   for (const auto& s : shards_) s->stats->add_to(out);
   return out;
 }
 
 std::size_t AllocatorService::num_connections() const {
-  std::size_t n =
-      inline_shard_ ? inline_shard_->conns.size() : 0;
+  std::size_t n = 0;
   for (const auto& s : shards_) {
     n += s->num_conns.load(std::memory_order_relaxed);
   }

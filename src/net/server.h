@@ -7,18 +7,23 @@
 // endpoint, and only to the endpoint that owns the flow.
 //
 // The service scales across cores by sharding its I/O (§5 applied to the
-// control plane): with cfg.num_shards >= 1 it spawns N shard threads,
-// each owning a private EpollLoop and the connections handed to it --
-// accept stays on the caller's loop (one listener), which also runs the
-// allocation rounds. Decoded flowlet start/end records are funneled from
-// the shards to the allocation thread through per-shard SPSC rings, and
-// rate updates fan back out through per-shard rings to whichever shard
-// owns the flow's connection; eventfd wakeups replace polling, and no
-// lock is taken anywhere on the hot path. key_owner_ state is sharded
-// with the connections: each shard maps its own keys to its own
-// connections, while the allocation thread maps keys to shards. With
-// cfg.num_shards == 0 everything runs inline on the caller's loop (the
-// original single-threaded service), which tests drive deterministically.
+// control plane). Every connection is owned by a Shard: a loop, the
+// connections handed to it, and the key ownership map for them. Accept
+// stays on the caller's loop (one listener), which also runs the
+// allocation rounds and is the cross-shard authority on keys. Shards
+// turn decoded records into UpEvents the allocation side applies
+// (flowlet start and end, registration refresh, trace mark); the
+// allocation side sends DownEvents the shards apply (connection
+// handoff, rate update, start reject). Each event kind has one handler,
+// and shards differ only in how events are delivered:
+//   - num_shards == 0: one shard on the caller's loop;
+//   - num_shards = N on a transport with threads: N shard threads, each
+//     with a private loop, fed through per-shard SPSC rings with eventfd
+//     wakeups and no lock on the hot path;
+//   - num_shards = N on the sim transport: N shard loops that the one
+//     event queue steps, deterministically.
+// A shard with its own thread takes the rings; any other shard has its
+// events applied by direct call, in the same FIFO order.
 //
 // Flow ownership is tracked by flow key (the wire-level 32-bit id), never
 // by allocator slot index: NumProblem recycles slots through its free
@@ -56,8 +61,8 @@ namespace ft::net {
 struct ServerConfig {
   // The transport/clock seam the service runs on. Null = the
   // process-wide OS transport (real sockets + EpollLoop). The
-  // virtual-time harness passes a sim::SimTransport, under which the
-  // service must run inline (num_shards == 0; FT_CHECKed).
+  // virtual-time harness passes a sim::SimTransport, whose shard loops
+  // all run on the thread stepping its event queue.
   Transport* transport = nullptr;
   // TCP listener: port >= 0 enables it (0 = kernel-assigned, see
   // tcp_port()). Listens on 127.0.0.1 unless listen_any is set.
@@ -68,10 +73,9 @@ struct ServerConfig {
   // Allocation round period; <= 0 disables the timer (drive rounds
   // manually with run_allocation_round, e.g. from tests).
   std::int64_t iteration_period_us = 100;
-  std::size_t max_frame_payload = kMaxFramePayload;
   // Outgoing frames are cut at this payload size, so a round touching
   // arbitrarily many of one endpoint's flows emits several frames
-  // instead of overrunning max_frame_payload.
+  // instead of overrunning kMaxFramePayload.
   std::size_t flush_chunk_bytes = 64 * 1024;
   // A peer that stops reading gets dropped once this much output is
   // buffered for it (close_conn ends its flowlets cleanly); without the
@@ -81,12 +85,10 @@ struct ServerConfig {
   // bounds kernel-side buffering so the max_outbox_bytes cap (not the
   // kernel) is what governs a stalled reader.
   int send_buffer_bytes = 0;
-  // I/O sharding: 0 = inline single-threaded service on the caller's
-  // loop; N >= 1 spawns N shard threads, connections assigned
-  // round-robin.
+  // I/O sharding: 0 = one shard on the caller's loop; N >= 1 = N shards
+  // with loops of their own (a thread each where the transport supports
+  // threads), connections assigned round-robin.
   int num_shards = 0;
-  // Per-direction SPSC ring capacity per shard (entries).
-  std::size_t shard_queue_capacity = 1 << 15;
   // §6.1 co-scheduling: pin shard thread i to the CPU of FlowBlock row i
   // (same CpuMap layout the ParallelNed workers use), so the I/O shard
   // serving a block row shares that row's core and cache. Run one shard
@@ -187,7 +189,7 @@ class AllocatorService {
 
   // One allocation round: pending shard events applied, allocator
   // iteration, normalized thresholded rate updates pushed to their
-  // owning endpoints (directly inline, or via the owning shard's ring).
+  // owning endpoints through the owning shard.
   // Runs on the iteration timer when cfg.iteration_period_us > 0; must
   // be called from the thread driving the caller's loop.
   void run_allocation_round();
@@ -200,7 +202,7 @@ class AllocatorService {
   // and wakeup latency, plus the svc.* round-phase histograms.
   [[nodiscard]] obs::MetricsRegistry& metrics() const { return *metrics_; }
   [[nodiscard]] std::size_t num_connections() const;
-  // Number of I/O shard threads (0 = inline mode).
+  // Number of I/O shards, the one on the caller's loop included.
   [[nodiscard]] int num_shards() const {
     return static_cast<int>(shards_.size());
   }
@@ -225,6 +227,7 @@ class AllocatorService {
  private:
   struct Connection;
   struct Counters;
+  struct Rings;
   struct Shard;
   struct UpEvent;
   struct DownEvent;
@@ -232,14 +235,16 @@ class AllocatorService {
   void setup_tcp_listener();
   void setup_unix_listener();
   void accept_ready(int listen_fd);
+
+  // Shard side (the shard's loop): connection I/O, and the handlers that
+  // turn decoded records into UpEvents and apply DownEvents.
   void adopt_conn(Shard& s, int fd);
   void conn_ready(Shard& s, Connection& c, std::uint32_t events);
   void handle_start(Shard& s, Connection& c,
                     const core::FlowletStartMsg& m);
   void handle_end(Shard& s, Connection& c, const core::FlowletEndMsg& m);
   // A trace mark rode in behind a sampled flowlet_start: stamp the shard
-  // ingest hop and forward the context to the allocation thread (shard
-  // thread; inline mode records directly).
+  // ingest hop and forward the context to the allocation side.
   void handle_trace_mark(Shard& s, const core::TraceMarkMsg& m);
   void handle_heartbeat(Shard& s, const core::HeartbeatMsg& m);
   // Arms the per-shard heartbeat/peer-timeout timer (on the shard's own
@@ -247,8 +252,9 @@ class AllocatorService {
   // heartbeat per connection, silent peers culled.
   void arm_heartbeat(Shard& s);
   void heartbeat_tick(Shard& s);
+  void apply_down(Shard& s, const DownEvent& ev);
   // Appends an echo mark to the flow owner's open batch, stamping the
-  // fanout-write hop (shard thread / inline fanout).
+  // fanout-write hop.
   void queue_trace_echo(Shard& s, core::TraceMarkMsg mark);
   // Queues one rate update for the shard's owner of `key` (no-op when
   // the flow ended meanwhile), cutting the batch at flush_chunk_bytes;
@@ -260,20 +266,24 @@ class AllocatorService {
   void flush_conn(Shard& s, Connection& c);
   void try_write(Shard& s, Connection& c);
   void close_conn(Shard& s, int fd);
+  // Resolves the ECMP route of a start message into `ev`; false on bad
+  // hosts.
+  bool resolve_route(const core::FlowletStartMsg& m, UpEvent& ev) const;
 
-  // Resolves the ECMP route for a start message; false on bad hosts.
-  bool resolve_route(const core::FlowletStartMsg& m,
-                     std::array<LinkId, core::kMaxRouteLinks>& route,
-                     std::uint8_t& len) const;
+  // Allocation side (the caller's loop).
+  void apply_up(Shard& s, const UpEvent& ev);
+  // `taken`: another start already holds the key.
+  void apply_start(Shard& s, const UpEvent& ev, bool taken);
 
-  // Sharded mode plumbing (all no-ops in inline mode).
-  void push_up(Shard& s, const UpEvent& ev);      // shard thread
-  bool push_down(Shard& s, const DownEvent& ev);  // allocation thread
-  void wake_shard(Shard& s);
-  void drain_up(Shard& s);        // allocation thread
-  void drain_down(Shard& s);      // shard thread
-  void apply_start(Shard& s, const UpEvent& ev);  // allocation thread
-  void note_kick(Shard& s);  // stamp first kick for wakeup latency
+  // Delivery, the one place where shards differ: a shard with rings
+  // pushes and kicks, any other applies by direct call.
+  void up(Shard& s, const UpEvent& ev);      // shard -> allocation
+  bool down(Shard& s, const DownEvent& ev);  // allocation -> shard
+  void echo(Shard& s, const core::TraceMarkMsg& mark);
+  void wake(Shard& s);        // have the shard flush what down() queued
+  void kick_alloc(Shard& s);  // shard thread: wake the allocation thread
+  void drain_up(Shard& s);    // allocation thread
+  void drain_down(Shard& s);  // shard thread
   void record_round_latency(double us);
 
   IoLoop& loop_;
@@ -288,12 +298,10 @@ class AllocatorService {
   int tcp_port_ = -1;
   IoLoop::TimerId iter_timer_ = 0;
   int alloc_wake_fd_ = -1;  // shards kick this to get their rings drained
-  // Inline shard (index -1, caller's loop) -- used when num_shards == 0.
-  std::unique_ptr<Shard> inline_shard_;
   std::vector<std::unique_ptr<Shard>> shards_;
   core::CpuMap shard_cpu_map_;  // shard index -> CPU (§6.1 co-scheduling)
   std::size_t next_shard_ = 0;  // round-robin accept assignment
-  // Allocation-thread view: which shard owns each live flow key.
+  // Allocation-side view: which shard owns each live flow key.
   std::unordered_map<std::uint32_t, std::uint32_t> key_shard_;
   // End-to-end trace contexts awaiting their echo (allocation thread).
   // A sampled flowlet_start parks its origin + ingest stamps here; the
@@ -325,13 +333,14 @@ class AllocatorService {
   std::unique_ptr<Counters> alloc_stats_;
 
   // Flight recorder state (allocation thread). The per-round scratch
-  // accumulates between rounds (drain_up also runs on eventfd wakeups)
-  // and resets after each RoundRecord is cut.
+  // accumulates between rounds (up events also apply on eventfd
+  // wakeups or by direct call) and resets after each RoundRecord is cut.
   obs::FlightRecorder flight_;
   std::uint64_t round_id_ = 0;
-  std::uint32_t round_churn_ = 0;        // up events since last record
+  std::uint32_t round_churn_ = 0;        // up events applied since record
   double round_wakeup_max_us_ = 0.0;     // worst kick->drain this round
   std::size_t round_up_hw_ = 0;          // max up-ring depth at drain
+  std::size_t round_down_hw_ = 0;        // max down-ring depth at push
   std::uint64_t round_queue_drops_ = 0;  // fanout pushes dropped
   std::atomic<bool> stopping_{false};
   std::vector<core::RateUpdate> updates_scratch_;

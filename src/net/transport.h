@@ -133,8 +133,8 @@ class Transport {
   // the transport's event queue in the sim).
   [[nodiscard]] virtual std::unique_ptr<IoLoop> make_loop() = 0;
   // Whether shard threads may drive this transport concurrently. The
-  // sim is single-threaded by construction (determinism), so services
-  // must run inline (num_shards == 0) on it.
+  // sim is single-threaded by construction (determinism): a service on
+  // it runs every shard loop on the thread stepping the event queue.
   [[nodiscard]] virtual bool supports_threads() const = 0;
 };
 

@@ -42,9 +42,11 @@ struct RoundRecord {
   double round_us = 0;          // end-to-end round time
   double wakeup_us = 0;         // worst shard eventfd wakeup-to-drain
   double band_max_us = 0;       // slowest parallel solve band (0 = seq)
-  std::uint32_t churn_events = 0;   // up events drained this round
+  std::uint32_t churn_events = 0;   // up events applied since last round
   std::uint32_t updates = 0;        // rate updates emitted
-  std::uint32_t batches = 0;        // peer batches the fanout touched
+  // Shards the fanout handed rate updates to: one batch and one wakeup
+  // (a ring kick, or a direct flush) per shard, whatever the delivery.
+  std::uint32_t batches = 0;
   std::uint32_t queue_drops = 0;    // down-ring drops this round
   std::uint16_t up_ring_hw = 0;     // max per-shard up-ring depth seen
   std::uint16_t down_ring_hw = 0;   // max per-shard down-ring depth seen

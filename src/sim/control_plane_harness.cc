@@ -131,7 +131,6 @@ net::ServerConfig ControlPlaneHarness::server_cfg() {
   s.heartbeat_period_us = cfg_.heartbeat_period_us;
   s.rate_lease_us = cfg_.rate_lease_us;
   s.peer_timeout_us = cfg_.peer_timeout_us;
-  s.num_shards = 0;  // sim transport is single-threaded by contract
   // Deterministic epoch (the process-global fallback would couple runs
   // in one test binary): the first service is epoch 1, each restart
   // increments, so agents can order instances across warm restarts.

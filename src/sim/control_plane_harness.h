@@ -2,9 +2,11 @@
 // and N real EndpointAgents -- in a single process on virtual time.
 //
 // Nothing here is a mock: the service is the same AllocatorService the
-// daemon runs (inline mode, its allocation rounds on a loop timer), the
-// agents are the same EndpointAgent the endpoints run (auto-reconnect,
-// leases, heartbeats and all), and the wire between them is the same
+// daemon runs (its default single shard, on the loop that also runs the
+// allocation rounds on a timer, through the same event handlers a
+// sharded daemon runs), the agents are the same EndpointAgent the
+// endpoints run (auto-reconnect, leases, heartbeats and all), and the
+// wire between them is the same
 // length-prefixed frame stream -- only the transport underneath is
 // sim::SimTransport, so ten thousand endpoints converge in seconds of
 // wall clock and every run with the same seed replays bit-identically.

@@ -10,14 +10,12 @@
 namespace ft::sim {
 namespace {
 
-// Event tags. SimTransport and SimLoop are separate EventHandlers, so
-// the tag spaces are independent; these are SimTransport's.
+// SimTransport's event tags.
 constexpr std::uint32_t kTagDeliver = 1;
 constexpr std::uint32_t kTagNotify = 2;
 constexpr std::uint32_t kTagConnect = 3;
 constexpr std::uint32_t kTagFin = 4;
-// SimLoop's single tag.
-constexpr std::uint32_t kTagTimer = 1;
+constexpr std::uint32_t kTagTimer = 5;
 
 constexpr std::uint64_t pack_connect(int listener, int server_handle) {
   return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(listener))
@@ -526,9 +524,38 @@ void SimTransport::on_event(std::uint32_t tag, std::uint64_t arg) {
       request_notify(handle);
       return;
     }
+    case kTagTimer: {
+      const auto it = timers_.find(arg);
+      if (it == timers_.end()) return;  // cancelled, or its loop is gone
+      if (it->second.period_us > 0) {
+        // Re-arm first (fixed period from the previous deadline): the
+        // callback may cancel_timer, which then kills the re-armed
+        // firing through the map lookup above.
+        events_.schedule(events_.now() + it->second.period_us * kMicrosecond,
+                         this, kTagTimer, arg);
+        const net::IoLoop::TimerCallback cb = it->second.cb;
+        cb();
+        return;
+      }
+      const net::IoLoop::TimerCallback cb = std::move(it->second.cb);
+      timers_.erase(it);
+      cb();
+      return;
+    }
     default:
       FT_CHECK(false);
   }
+}
+
+net::IoLoop::TimerId SimTransport::add_timer(SimLoop* loop,
+                                             std::int64_t delay_us,
+                                             net::IoLoop::TimerCallback cb,
+                                             std::int64_t period_us) {
+  const net::IoLoop::TimerId id = next_timer_id_++;
+  timers_.emplace(id, Timer{loop, std::move(cb), period_us});
+  events_.schedule(events_.now() + delay_us * kMicrosecond, this, kTagTimer,
+                   id);
+  return id;
 }
 
 std::unique_ptr<net::IoLoop> SimTransport::make_loop() {
@@ -538,12 +565,14 @@ std::unique_ptr<net::IoLoop> SimTransport::make_loop() {
 // --- SimLoop ---
 
 SimLoop::~SimLoop() {
-  // Watches must not outlive the loop they dispatch into.
+  // Watches and timers must not outlive the loop they dispatch into.
   for (const auto& [fd, _] : fds_) {
     if (SimTransport::Watch* w = tr_.watch_of(fd)) {
       if (w->loop == this) *w = SimTransport::Watch{};
     }
   }
+  std::erase_if(tr_.timers_,
+                [this](const auto& kv) { return kv.second.loop == this; });
 }
 
 void SimLoop::add_fd(int fd, std::uint32_t events, FdCallback cb) {
@@ -573,45 +602,21 @@ void SimLoop::del_fd(int fd) {
 
 net::IoLoop::TimerId SimLoop::add_timer(std::int64_t delay_us,
                                         TimerCallback cb) {
-  const TimerId id = next_timer_id_++;
-  timers_.emplace(id, Timer{std::move(cb), 0});
-  tr_.events().schedule(
-      tr_.events().now() + std::max<std::int64_t>(delay_us, 0) *
-                               kMicrosecond,
-      this, kTagTimer, id);
-  return id;
+  return tr_.add_timer(this, std::max<std::int64_t>(delay_us, 0),
+                       std::move(cb), 0);
 }
 
 net::IoLoop::TimerId SimLoop::add_periodic(std::int64_t period_us,
                                            TimerCallback cb) {
   FT_CHECK(period_us > 0);
-  const TimerId id = next_timer_id_++;
-  timers_.emplace(id, Timer{std::move(cb), period_us});
-  tr_.events().schedule(tr_.events().now() + period_us * kMicrosecond,
-                        this, kTagTimer, id);
-  return id;
+  return tr_.add_timer(this, period_us, std::move(cb), period_us);
 }
 
-void SimLoop::cancel_timer(TimerId id) { timers_.erase(id); }
-
-void SimLoop::on_event(std::uint32_t tag, std::uint64_t arg) {
-  FT_CHECK(tag == kTagTimer);
-  const auto it = timers_.find(arg);
-  if (it == timers_.end()) return;  // cancelled; stale event
-  if (it->second.period_us > 0) {
-    // Re-arm first (fixed period from the previous deadline): the
-    // callback may cancel_timer, which then kills the re-armed firing
-    // through the map lookup above.
-    tr_.events().schedule(
-        tr_.events().now() + it->second.period_us * kMicrosecond, this,
-        kTagTimer, arg);
-    const TimerCallback cb = it->second.cb;
-    cb();
-    return;
+void SimLoop::cancel_timer(TimerId id) {
+  const auto it = tr_.timers_.find(id);
+  if (it != tr_.timers_.end() && it->second.loop == this) {
+    tr_.timers_.erase(it);
   }
-  const TimerCallback cb = std::move(it->second.cb);
-  timers_.erase(it);
-  cb();
 }
 
 int SimLoop::run_once(std::int64_t max_wait_us) {

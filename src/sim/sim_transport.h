@@ -167,11 +167,21 @@ class SimTransport final : public net::Transport, public EventHandler {
   [[nodiscard]] EventQueue& events() { return events_; }
   [[nodiscard]] VirtualClock& virtual_clock() { return clock_; }
 
-  // EventHandler: delivery / readiness / backlog events.
+  // EventHandler: delivery / readiness / backlog events, and SimLoop
+  // timer firings.
   void on_event(std::uint32_t tag, std::uint64_t arg) override;
 
  private:
   friend class SimLoop;
+
+  // A SimLoop timer. Timers live here, and their events name the
+  // transport, because the transport outlives its loops: ~SimLoop erases
+  // its own timers, and the event of an erased timer finds nothing.
+  struct Timer {
+    SimLoop* loop = nullptr;
+    net::IoLoop::TimerCallback cb;
+    std::int64_t period_us = 0;  // 0 = one-shot
+  };
 
   struct Watch {
     SimLoop* loop = nullptr;
@@ -231,6 +241,9 @@ class SimTransport final : public net::Transport, public EventHandler {
     return h < table_.size() ? table_[h].listener.get() : nullptr;
   }
   int dial(int listener_handle);
+  net::IoLoop::TimerId add_timer(SimLoop* loop, std::int64_t delay_us,
+                                 net::IoLoop::TimerCallback cb,
+                                 std::int64_t period_us);
   // Schedules `data` from stream `from` toward its peer.
   void send_segment(Stream& from, std::vector<std::uint8_t> data);
   // Cuts whole frames out of from.down_parse, rolling the drop die.
@@ -280,17 +293,23 @@ class SimTransport final : public net::Transport, public EventHandler {
   std::unordered_map<int, int> tcp_binds_;  // port -> listener handle
   std::unordered_map<std::string, int> unix_binds_;
   std::unordered_map<std::uint64_t, Segment> segments_;
+  std::unordered_map<net::IoLoop::TimerId, Timer> timers_;
+  net::IoLoop::TimerId next_timer_id_ = 1;
   int next_ephemeral_port_ = 40000;
 };
 
 // IoLoop over the shared EventQueue: timers are queue events, fd
 // readiness arrives from SimTransport. run_once(max_wait) advances
 // virtual time by up to max_wait microseconds (never busy-waits);
-// run() drains until stop() or the queue empties.
-class SimLoop final : public net::IoLoop, public EventHandler {
+// run() drains until stop() or the queue empties. Any number of loops
+// may share one transport; destroying a loop drops its watches and
+// pending timers.
+class SimLoop final : public net::IoLoop {
  public:
   explicit SimLoop(SimTransport& tr) : tr_(tr) {}
   ~SimLoop() override;
+  SimLoop(const SimLoop&) = delete;
+  SimLoop& operator=(const SimLoop&) = delete;
 
   void add_fd(int fd, std::uint32_t events, FdCallback cb) override;
   void mod_fd(int fd, std::uint32_t events) override;
@@ -308,19 +327,9 @@ class SimLoop final : public net::IoLoop, public EventHandler {
   void bind_metrics(obs::MetricsRegistry& /*reg*/,
                     std::string_view /*prefix*/) override {}
 
-  // EventHandler: timer firings.
-  void on_event(std::uint32_t tag, std::uint64_t arg) override;
-
  private:
-  struct Timer {
-    TimerCallback cb;
-    std::int64_t period_us = 0;  // 0 = one-shot
-  };
-
   SimTransport& tr_;
   std::unordered_map<int, bool> fds_;  // handles registered via this loop
-  std::unordered_map<TimerId, Timer> timers_;
-  TimerId next_timer_id_ = 1;
   bool stop_ = false;
 };
 

@@ -1235,6 +1235,40 @@ TEST_F(ShardedLoopbackTest, CrossShardDuplicateKeyRejected) {
   EXPECT_TRUE(alloc.is_active(42));
 }
 
+// A rate update for a key no service connection owns (registered on the
+// allocator directly) dies in the fanout counted, never silent -- in
+// every shard mode.
+TEST_F(ShardedLoopbackTest, UpdateWithoutAnOwnerIsCountedOrphaned) {
+  const topo::ClosTopology clos(small_clos());
+  for (const int shards : {0, 2}) {
+    SCOPED_TRACE(std::to_string(shards) + " shards");
+    core::Allocator alloc(clos.graph().capacities(), alloc_cfg());
+    EpollLoop loop;
+    ServerConfig scfg;
+    scfg.tcp_port = 0;
+    scfg.iteration_period_us = 0;
+    scfg.num_shards = shards;
+    AllocatorService svc(loop, alloc, clos, scfg);
+
+    const auto path = clos.host_path(clos.host(2), clos.host(7), 77);
+    ASSERT_TRUE(
+        alloc.flowlet_start(77, std::vector<LinkId>(path.begin(), path.end())));
+    EndpointAgent agent;
+    ASSERT_TRUE(agent.connect_tcp("127.0.0.1", svc.tcp_port()));
+    std::vector<EndpointAgent*> raw = {&agent};
+    ASSERT_TRUE(agent.flowlet_start(1, 0, 5));
+    agent.flush();
+    ASSERT_TRUE(pump_until(loop, raw, [&] {
+      return alloc.num_active_flowlets() == 2;
+    }));
+    svc.run_allocation_round();  // one update per flow
+    ASSERT_TRUE(pump_until(loop, raw, [&] {
+      return svc.stats().updates_sent == 1 && agent.rate_bps(1) > 0.0;
+    }));
+    EXPECT_EQ(svc.stats().updates_orphaned, 1u);
+  }
+}
+
 TEST_F(ShardedLoopbackTest, SampledStartProducesCompleteSevenHopSpan) {
   // End-to-end trace propagation through the sharded service: a sampled
   // flowlet_start (traced flag + TraceMarkMsg in the same batch) must
@@ -1295,9 +1329,10 @@ TEST_F(ShardedLoopbackTest, SampledStartProducesCompleteSevenHopSpan) {
 }
 
 TEST_F(LoopbackTest, InlineTraceAndFlowletEndDropsContext) {
-  // Inline (num_shards == 0) trace path: sampled starts complete their
-  // loop without shard rings, and a flowlet_end before the first rate
-  // update retires the parked context (counted as a drop, not leaked).
+  // Default one-shard (num_shards == 0) trace path: sampled starts
+  // complete their loop without shard rings, and a flowlet_end before
+  // the first rate update retires the parked context (counted as a
+  // drop, not leaked).
   const topo::ClosTopology clos(small_clos());
   core::Allocator alloc(clos.graph().capacities(), alloc_cfg());
 
@@ -1344,6 +1379,50 @@ TEST_F(LoopbackTest, InlineTraceAndFlowletEndDropsContext) {
   EXPECT_EQ(agent.stats().traces_completed, 1u);
   EXPECT_EQ(agent.last_trace().mark.flow_key, 21u);
   EXPECT_EQ(svc.metrics().counter("svc.trace_echoes").value(), 1u);
+}
+
+// The flight recorder counts every applied up event as churn, and one
+// batch per shard the fanout touched, on the default one-shard service
+// as on a sharded one.
+TEST_F(LoopbackTest, FlightRecordCountsChurnAndShardBatches) {
+  const topo::ClosTopology clos(small_clos());
+  core::Allocator alloc(clos.graph().capacities(), alloc_cfg());
+
+  EpollLoop loop;
+  ServerConfig scfg;
+  scfg.tcp_port = 0;
+  scfg.iteration_period_us = 0;
+  AllocatorService svc(loop, alloc, clos, scfg);
+
+  EndpointAgent a0;
+  EndpointAgent a1;
+  ASSERT_TRUE(a0.connect_tcp("127.0.0.1", svc.tcp_port()));
+  ASSERT_TRUE(a1.connect_tcp("127.0.0.1", svc.tcp_port()));
+  std::vector<EndpointAgent*> raw = {&a0, &a1};
+  constexpr std::uint32_t kStarts = 5;
+  for (std::uint32_t key = 1; key <= kStarts; ++key) {
+    EndpointAgent& a = key <= 3 ? a0 : a1;
+    ASSERT_TRUE(a.flowlet_start(key, static_cast<std::uint16_t>(key),
+                                static_cast<std::uint16_t>(key + 6)));
+  }
+  a0.flush();
+  a1.flush();
+  const std::int64_t deadline = EpollLoop::now_us() + 2'000'000;
+  while (alloc.num_active_flowlets() < kStarts &&
+         EpollLoop::now_us() < deadline) {
+    pump(loop, raw);
+  }
+  ASSERT_EQ(alloc.num_active_flowlets(), kStarts);
+
+  svc.run_allocation_round();
+  const std::vector<obs::RoundRecord> recs = svc.flight().recent();
+  ASSERT_FALSE(recs.empty());
+  const obs::RoundRecord& r = recs.back();
+  // A slow box may let an agent's registration refresh fire first; each
+  // refresh is one more up event.
+  EXPECT_EQ(r.churn_events, kStarts + svc.stats().replayed_starts);
+  EXPECT_EQ(r.updates, kStarts);
+  EXPECT_EQ(r.batches, 1u);  // two connections, one shard
 }
 
 TEST_F(LoopbackTest, InjectedStallPromotesRoundIntoFlightRecorder) {

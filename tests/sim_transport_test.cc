@@ -414,6 +414,40 @@ TEST(SimLoopTest, TimersFireAtExactVirtualDeadlines) {
   EXPECT_EQ(oneshot_at, 250);  // exact, no tolerance band needed
 }
 
+// A destroyed loop takes its pending timers with it: nothing fires into
+// the freed loop, and a loop sharing the transport keeps its own.
+TEST(SimLoopTest, DestroyedLoopNeverFiresItsTimers) {
+  EventQueue q;
+  SimTransport tr(q);
+  SimLoop survivor(tr);
+  std::int64_t survivor_at = -1;
+  survivor.add_timer(50, [&] { survivor_at = tr.clock().now_us(); });
+  int fired = 0;
+  {
+    std::unique_ptr<net::IoLoop> loop = tr.make_loop();
+    loop->add_timer(10, [&] { ++fired; });
+    loop->add_periodic(5, [&] { ++fired; });
+  }
+  q.run_until(100 * kMicrosecond);
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(survivor_at, 50);
+}
+
+TEST(SimLoopTest, CancelledTimerStaysSilentAfterItsLoopDies) {
+  EventQueue q;
+  SimTransport tr(q);
+  int fired = 0;
+  {
+    std::unique_ptr<net::IoLoop> loop = tr.make_loop();
+    const net::IoLoop::TimerId id = loop->add_periodic(5, [&] { ++fired; });
+    q.run_until(12 * kMicrosecond);
+    ASSERT_EQ(fired, 2);
+    loop->cancel_timer(id);
+  }
+  q.run_until(100 * kMicrosecond);
+  EXPECT_EQ(fired, 2);
+}
+
 // ---------------------------------------------------------------------
 // ControlPlaneHarness: the real control plane on virtual time
 // ---------------------------------------------------------------------
@@ -776,6 +810,221 @@ TEST(SimRecoveryTest, DropSieveDropsWholeFramesDeterministically) {
   EXPECT_EQ(b.frames_dropped, a.frames_dropped);
   EXPECT_EQ(b.bytes_dropped_sieve, a.bytes_dropped_sieve);
   EXPECT_EQ(b.bytes_delivered, a.bytes_delivered);
+}
+
+// ---------------------------------------------------------------------
+// Sharded services on virtual time: on the SimTransport each shard gets
+// a loop of its own, the one event queue steps them all, and shard
+// events are applied by direct call -- so a multi-shard service runs
+// the handlers a threaded daemon runs, and replays exactly.
+// ---------------------------------------------------------------------
+
+struct ShardPlane {
+  static constexpr std::int64_t kStepUs = 500;
+
+  EventQueue q;
+  SimTransport tr{q};
+  SimLoop loop{tr};
+  topo::ClosTopology clos{{.racks = 4,
+                           .servers_per_rack = 4,
+                           .spines = 2,
+                           .fabric_link_bps = 20e9}};
+  // Threshold 0: every rate change is notified.
+  core::Allocator alloc{clos.graph().capacities(), {.threshold = 0.0}};
+  net::AllocatorService svc;
+  std::vector<std::unique_ptr<net::EndpointAgent>> agents;
+  // FNV-1a over every (virtual time, agent, key, code) rate application.
+  std::uint64_t hash = 1469598103934665603ULL;
+
+  // Agent i lands on shard i % num_shards (round-robin accept). With
+  // heartbeat_us > 0 every shard runs its own heartbeat timer.
+  ShardPlane(int num_shards, int num_agents, std::int64_t heartbeat_us = 0)
+      : svc(loop, alloc, clos, [&] {
+          net::ServerConfig c;
+          c.transport = &tr;
+          c.tcp_port = 0;
+          c.iteration_period_us = 0;
+          c.num_shards = num_shards;
+          c.heartbeat_period_us = heartbeat_us;
+          c.rate_lease_us = 10 * heartbeat_us;
+          c.peer_timeout_us = 10 * heartbeat_us;
+          return c;
+        }()) {
+    for (int i = 0; i < num_agents; ++i) {
+      net::AgentConfig ac;
+      ac.transport = &tr;
+      ac.heartbeat_period_us = heartbeat_us;
+      agents.push_back(std::make_unique<net::EndpointAgent>(ac));
+      EXPECT_TRUE(agents.back()->connect_tcp("sim", svc.tcp_port()));
+      agents.back()->set_rate_callback(
+          [this, i](std::uint32_t key, double, std::uint16_t code) {
+            for (const std::uint64_t v :
+                 {static_cast<std::uint64_t>(q.now()),
+                  static_cast<std::uint64_t>(i), std::uint64_t{key},
+                  std::uint64_t{code}}) {
+              hash = (hash ^ v) * 1099511628211ULL;
+            }
+          });
+    }
+  }
+
+  // An allocation round (if `round`), one step of virtual time, then a
+  // poll sweep over the agents in index order.
+  void step(bool round = true) {
+    if (round) svc.run_allocation_round();
+    loop.run_once(kStepUs);
+    for (auto& a : agents) a->poll();
+  }
+
+  // Flowlet churn with a disconnect: every agent registers four flows,
+  // then each churns one flow every ten rounds, and the last agent
+  // hangs up halfway.
+  void churn(int rounds) {
+    const int hosts = clos.num_hosts();
+    Rng rng(99);
+    std::uint32_t next_key = 1;
+    std::vector<std::vector<std::uint32_t>> live(agents.size());
+    const auto start_one = [&](std::size_t a) {
+      const auto src = static_cast<std::uint16_t>(rng.below(hosts));
+      auto dst = static_cast<std::uint16_t>(rng.below(hosts - 1));
+      if (dst >= src) ++dst;
+      ASSERT_TRUE(agents[a]->flowlet_start(next_key, src, dst));
+      live[a].push_back(next_key++);
+    };
+    for (int r = 0; r < rounds; ++r) {
+      for (std::size_t a = 0; a < agents.size(); ++a) {
+        if (!agents[a]->connected()) continue;
+        if (r == 0) {
+          for (int f = 0; f < 4; ++f) start_one(a);
+        } else if (r % 10 == 0) {
+          const auto pick = rng.below(live[a].size());
+          ASSERT_TRUE(agents[a]->flowlet_end(live[a][pick]));
+          live[a][pick] = live[a].back();
+          live[a].pop_back();
+          start_one(a);
+        }
+        agents[a]->flush();
+      }
+      if (r == rounds / 2) agents.back()->disconnect();
+      step();
+    }
+  }
+};
+
+// Two agents on different shards register key 42 in the same virtual
+// instant. The allocation side is the authority: exactly the first
+// frame to arrive wins -- whichever shard carries it -- the allocator
+// holds the key once, on the winner's route, and the loser is rolled
+// back without ever seeing a rate.
+TEST(SimShardTest, CrossShardDuplicateKeyGoesToTheFirstArrival) {
+  struct Claim {
+    std::uint16_t src;
+    std::uint16_t dst;
+  };
+  const Claim claims[2] = {{0, 5}, {1, 9}};
+  for (const int first : {0, 1}) {
+    SCOPED_TRACE("first sender: agent " + std::to_string(first));
+    ShardPlane p(2, 2);
+    for (int i = 0; i < 4; ++i) p.step(false);  // connections adopted
+    ASSERT_EQ(p.svc.num_connections(), 2u);
+    const int second = 1 - first;
+    for (const int a : {first, second}) {
+      ASSERT_TRUE(p.agents[a]->flowlet_start(42, claims[a].src,
+                                             claims[a].dst));
+      p.agents[a]->flush();
+    }
+    for (int i = 0; i < 40; ++i) p.step();
+
+    ASSERT_EQ(p.alloc.num_active_flowlets(), 1u);
+    ASSERT_TRUE(p.alloc.is_active(42));
+    const auto want = p.clos.host_path(p.clos.host(claims[first].src),
+                                       p.clos.host(claims[first].dst), 42);
+    const core::NumProblem& prob = p.alloc.problem();
+    for (std::size_t slot = 0; slot < prob.num_slots(); ++slot) {
+      const core::FlowView f = prob.flow(static_cast<core::FlowIndex>(slot));
+      if (!f.active()) continue;
+      ASSERT_EQ(f.route().size(), want.size());
+      for (std::size_t l = 0; l < want.size(); ++l) {
+        EXPECT_EQ(f.route()[l], want[l].value());
+      }
+    }
+    EXPECT_GT(p.agents[first]->rate_bps(42), 0.0);
+    EXPECT_EQ(p.agents[second]->rate_bps(42), 0.0);
+    EXPECT_GE(p.svc.stats().rejected_starts, 1u);
+
+    // The loser's end names a key its shard no longer owns.
+    const std::uint64_t unknown0 = p.svc.stats().unknown_ends;
+    ASSERT_TRUE(p.agents[second]->flowlet_end(42));
+    p.agents[second]->flush();
+    for (int i = 0; i < 4; ++i) p.step();
+    EXPECT_EQ(p.svc.stats().unknown_ends, unknown0 + 1);
+    EXPECT_TRUE(p.alloc.is_active(42));
+  }
+}
+
+// The allocator sees the same calls in the same order whatever the
+// shard count, so without service heartbeats (one timer per shard) the
+// rate trajectory is the one-shard trajectory, instant for instant.
+TEST(SimShardTest, ShardCountLeavesTheTrajectoryUnchanged) {
+  struct Outcome {
+    std::uint64_t hash;
+    std::uint64_t events;
+    net::ServiceStats st;
+  };
+  const auto run = [](int shards) {
+    ShardPlane p(shards, 6);
+    p.churn(120);
+    return Outcome{p.hash, p.q.processed(), p.svc.stats()};
+  };
+  const Outcome one = run(0);
+  EXPECT_GT(one.st.flowlet_starts, 24u);
+  EXPECT_GT(one.st.flowlet_ends, 0u);
+  EXPECT_GT(one.st.updates_sent, 0u);
+  for (const int shards : {2, 3}) {
+    SCOPED_TRACE(std::to_string(shards) + " shards");
+    const Outcome o = run(shards);
+    EXPECT_EQ(o.hash, one.hash);
+    EXPECT_EQ(o.events, one.events);
+    EXPECT_EQ(o.st.flowlet_starts, one.st.flowlet_starts);
+    EXPECT_EQ(o.st.flowlet_ends, one.st.flowlet_ends);
+    EXPECT_EQ(o.st.updates_sent, one.st.updates_sent);
+    EXPECT_EQ(o.st.updates_orphaned, one.st.updates_orphaned);
+    EXPECT_EQ(o.st.closed, one.st.closed);
+  }
+}
+
+// With heartbeats each shard ticks on its own loop, so the shard count
+// shapes the trajectory -- and each configuration still replays
+// bit-identically.
+TEST(SimShardTest, EveryShardCountReplaysBitIdentically) {
+  const auto run = [](int shards) {
+    ShardPlane p(shards, 6, 2'000);
+    p.churn(120);
+    EXPECT_GT(p.svc.stats().heartbeats_sent, 0u);
+    return std::pair{p.hash, p.q.processed()};
+  };
+  for (const int shards : {0, 2, 3}) {
+    SCOPED_TRACE(std::to_string(shards) + " shards");
+    EXPECT_EQ(run(shards), run(shards));
+  }
+}
+
+// A rate update for a key no service connection owns (registered on the
+// allocator directly) dies in the fanout, counted, never silent.
+TEST(SimShardTest, UpdateWithoutAnOwnerIsCountedOrphaned) {
+  ShardPlane p(2, 1);
+  const auto path = p.clos.host_path(p.clos.host(2), p.clos.host(7), 77);
+  ASSERT_TRUE(p.alloc.flowlet_start(
+      77, std::vector<LinkId>(path.begin(), path.end())));
+  ASSERT_TRUE(p.agents[0]->flowlet_start(1, 0, 5));
+  p.agents[0]->flush();
+  for (int i = 0; i < 4; ++i) p.step(false);
+  ASSERT_EQ(p.alloc.num_active_flowlets(), 2u);
+  p.step();  // one round: one update per flow
+  const net::ServiceStats st = p.svc.stats();
+  EXPECT_EQ(st.updates_orphaned, 1u);
+  EXPECT_EQ(st.updates_sent, 1u);
+  EXPECT_GT(p.agents[0]->rate_bps(1), 0.0);
 }
 
 }  // namespace
