@@ -1,10 +1,13 @@
 // Datacenter workload comparison: runs the packet-level simulator on the
 // paper's topology with the Facebook Web workload and prints
 // p99-normalized flow completion times for Flowtune vs DCTCP -- a
-// minature of the paper's headline result (Figure 8) -- then replays a
-// slice of the same workload's packet trace through the *live* control
-// plane: an EndpointAgent whose flowlet detector observes the packets
-// (observe_packet, no manual flowlet_start/end) against a real
+// miniature of the paper's headline result (Figure 8). In the simulated
+// Flowtune run every host's EndpointAgent talks to the AllocatorService
+// on the allocator node over simulated TCP through the same queues as
+// the data. The example then replays a slice of the same workload's
+// packet trace through the control plane on real sockets: an
+// EndpointAgent whose flowlet detector observes the packets
+// (observe_packet, no manual flowlet_start/end) against an
 // AllocatorService over a Unix socket.
 //
 //   $ ./datacenter_sim            # defaults: load 0.6, 8 ms window

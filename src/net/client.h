@@ -224,6 +224,9 @@ class EndpointAgent : MessageSink {
   [[nodiscard]] bool connect_tcp(const std::string& host, int port);
   [[nodiscard]] bool connect_unix(const std::string& path);
   [[nodiscard]] bool connected() const { return fd_ >= 0; }
+  // The live connection's transport handle (-1 when none), for callers
+  // that watch it on an IoLoop and poll() when it turns readable.
+  [[nodiscard]] int handle() const { return fd_; }
   // Deliberate teardown: closes the socket and disables auto-reconnect
   // (state -> kDisconnected). Losing the socket involuntarily instead
   // runs the recovery ladder -- see ConnState.

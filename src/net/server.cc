@@ -380,7 +380,7 @@ AllocatorService::~AllocatorService() {
   // they leak.
   for (auto& s : shards_) {
     if (s->rings == nullptr) continue;
-    drain_up(*s);
+    while (!s->rings->up.empty()) drain_up(*s);
     DownEvent ev;
     while (s->rings->down.try_pop(ev)) {
       if (ev.kind == DownEvent::Kind::kConn) {
@@ -859,7 +859,13 @@ void AllocatorService::drain_up(Shard& s) {
   }
   round_up_hw_ = std::max(round_up_hw_, r.up.size_approx());
   UpEvent ev;
-  while (r.up.try_pop(ev)) apply_up(s, ev);
+  for (std::size_t n = 0; n < kUpDrainBudget; ++n) {
+    if (!r.up.try_pop(ev)) return;
+    apply_up(s, ev);
+  }
+  // More waiting: come back on the next wakeup. The loop runs due
+  // timers in between, so rounds keep running under sustained ingress.
+  if (!r.up.empty()) kick_eventfd(alloc_wake_fd_);
 }
 
 void AllocatorService::drain_down(Shard& s) {

@@ -58,6 +58,11 @@ class MetricsRegistry;
 
 namespace ft::net {
 
+// Up events (flowlet starts, ends, ...) the allocation thread applies
+// from one threaded shard's ring per wakeup or round, so that sustained
+// ingress cannot keep it from running its rounds.
+inline constexpr std::size_t kUpDrainBudget = 1024;
+
 struct ServerConfig {
   // The transport/clock seam the service runs on. Null = the
   // process-wide OS transport (real sockets + EpollLoop). The
@@ -282,7 +287,9 @@ class AllocatorService {
   void echo(Shard& s, const core::TraceMarkMsg& mark);
   void wake(Shard& s);        // have the shard flush what down() queued
   void kick_alloc(Shard& s);  // shard thread: wake the allocation thread
-  void drain_up(Shard& s);    // allocation thread
+  // Allocation thread: applies at most kUpDrainBudget of the shard's up
+  // events, re-kicking itself while more wait.
+  void drain_up(Shard& s);
   void drain_down(Shard& s);  // shard thread
   void record_round_latency(double us);
 

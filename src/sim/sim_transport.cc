@@ -65,7 +65,7 @@ int SimTransport::listen_unix(const std::string& path) {
 int SimTransport::connect_tcp(const std::string& /*host*/, int port) {
   const auto it = tcp_binds_.find(port);
   if (it == tcp_binds_.end()) {
-    next_dial_link_set_ = false;
+    clear_next_dial();
     errno = ECONNREFUSED;
     return -1;
   }
@@ -75,17 +75,25 @@ int SimTransport::connect_tcp(const std::string& /*host*/, int port) {
 int SimTransport::connect_unix(const std::string& path) {
   const auto it = unix_binds_.find(path);
   if (it == unix_binds_.end()) {
-    next_dial_link_set_ = false;
+    clear_next_dial();
     errno = ECONNREFUSED;
     return -1;
   }
   return dial(it->second);
 }
 
+void SimTransport::clear_next_dial() {
+  next_dial_link_set_ = false;
+  next_up_carrier_ = nullptr;
+  next_down_carrier_ = nullptr;
+}
+
 int SimTransport::dial(int listener_handle) {
   const SimLinkParams link =
       next_dial_link_set_ ? next_dial_link_ : default_link_;
-  next_dial_link_set_ = false;
+  StreamCarrier* const up = next_up_carrier_;
+  StreamCarrier* const down = next_down_carrier_;
+  clear_next_dial();
   const int ch = new_slot();
   const int sh = new_slot();
   auto client = std::make_unique<Stream>();
@@ -95,6 +103,14 @@ int SimTransport::dial(int listener_handle) {
   server->peer = ch;
   server->server_side = true;
   server->link = link;
+  const auto carry = [this](Stream& s, int h, StreamCarrier* c) {
+    if (c == nullptr) return;
+    s.carried = std::make_unique<Carried>();
+    s.carried->carrier = c;
+    c->deliver = [this, h](std::int64_t n) { deliver_carried(h, n); };
+  };
+  carry(*client, ch, up);
+  carry(*server, sh, down);
   table_[static_cast<std::size_t>(ch)].stream = std::move(client);
   table_[static_cast<std::size_t>(sh)].stream = std::move(server);
   live_streams_ += 2;
@@ -209,16 +225,45 @@ void SimTransport::send_segment(Stream& from,
     drop_closed(static_cast<std::int64_t>(data.size()));
     return;
   }
+  const auto n = static_cast<std::int64_t>(data.size());
+  peer->in_flight += n;
+  if (from.carried != nullptr) {
+    // The payload waits in order; only its length travels.
+    from.carried->queue.insert(from.carried->queue.end(), data.begin(),
+                               data.end());
+    from.carried->carrier->send(n);
+    return;
+  }
   const Time start = std::max(events_.now(), from.link_free_at);
   from.link_free_at =
       start + tx_time(static_cast<std::int64_t>(data.size()),
                       from.link.bandwidth_bps);
   const Time arrive =
       from.link_free_at + from.link.latency_us * kMicrosecond;
-  peer->in_flight += static_cast<std::int64_t>(data.size());
   const std::uint64_t id = next_segment_++;
   segments_.emplace(id, Segment{from.peer, std::move(data)});
   events_.schedule(arrive, this, kTagDeliver, id);
+}
+
+void SimTransport::deliver_carried(int from_handle, std::int64_t n) {
+  Stream* from = stream(from_handle);
+  // A torn-down pair's carried bytes were counted as dropped then.
+  if (from == nullptr) return;
+  std::deque<std::uint8_t>& q = from->carried->queue;
+  FT_CHECK(n >= 0 && n <= static_cast<std::int64_t>(q.size()));
+  Stream* dp = stream(from->peer);
+  FT_CHECK(dp != nullptr);  // pairs are erased together
+  Stream& dst = *dp;
+  dst.in_flight -= n;
+  const auto end = q.begin() + static_cast<std::ptrdiff_t>(n);
+  if (!dst.open || dst.reset) {
+    drop_closed(n);
+  } else {
+    dst.inbox.insert(dst.inbox.end(), q.begin(), end);
+    stats_.bytes_delivered += n;
+    request_notify(from->peer);
+  }
+  q.erase(q.begin(), end);
 }
 
 void SimTransport::sieve_and_send(Stream& from) {
@@ -300,11 +345,12 @@ void SimTransport::maybe_erase_pair(int handle) {
   const int peer_handle = s->peer;
   const Stream* peer = stream(peer_handle);
   if (peer != nullptr && peer->open) return;
-  // Sieve parse residue (an incomplete trailing frame) dies with the
-  // pair; until now it counted as stranded, so re-home it.
-  drop_closed(static_cast<std::int64_t>(s->down_parse.size()));
+  // Sieve parse residue (an incomplete trailing frame) and carried bytes
+  // still in motion die with the pair; until now they counted as
+  // stranded, so re-home them.
+  drop_closed(residue(*s));
   if (peer != nullptr) {
-    drop_closed(static_cast<std::int64_t>(peer->down_parse.size()));
+    drop_closed(residue(*peer));
     table_[static_cast<std::size_t>(peer_handle)].stream.reset();
     --live_streams_;
   }
@@ -370,11 +416,15 @@ std::int64_t SimTransport::stranded_bytes() const {
     n += static_cast<std::int64_t>(seg.data.size());
   }
   for (const Slot& slot : table_) {
-    if (slot.stream != nullptr) {
-      n += static_cast<std::int64_t>(slot.stream->down_parse.size());
-    }
+    if (slot.stream != nullptr) n += residue(*slot.stream);
   }
   return n;
+}
+
+std::int64_t SimTransport::residue(const Stream& s) {
+  std::size_t n = s.down_parse.size();
+  if (s.carried != nullptr) n += s.carried->queue.size();
+  return static_cast<std::int64_t>(n);
 }
 
 void SimTransport::bind_metrics(obs::MetricsRegistry& reg,

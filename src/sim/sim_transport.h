@@ -39,12 +39,16 @@
 //                   + stranded_bytes()
 //
 // where stranded_bytes() is what is still legitimately in motion
-// (segments in flight plus sieve parse residue). Any silent loss path
-// breaks the identity and trips the conservation oracle.
+// (segments in flight, carried bytes not yet delivered and sieve parse
+// residue). Any silent loss path breaks the identity and trips the
+// conservation oracle. Faults, the stream buffer and this accounting
+// act before a StreamCarrier (below) is involved, so carried streams
+// get them unchanged.
 #pragma once
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -94,6 +98,22 @@ struct SimTransportStats {
   std::uint64_t records_dropped_other = 0;  // unknown tag / malformed tail
 };
 
+// Carries one stream direction's bytes in place of the fixed-latency
+// link. SimTransport calls send(n) for every segment it ships and keeps
+// the payload in the sender's in-order queue; the carrier calls
+// `deliver(n)` once the next n bytes arrived in order, and they move to
+// the peer's inbox then (ns-2's TcpApp model). SimTransport sets
+// `deliver` when it dials; the carrier must not call it once the
+// transport is gone.
+struct StreamCarrier {
+  StreamCarrier() = default;
+  StreamCarrier(const StreamCarrier&) = delete;  // the transport holds it
+  StreamCarrier& operator=(const StreamCarrier&) = delete;
+  virtual ~StreamCarrier() = default;
+  virtual void send(std::int64_t bytes) = 0;
+  std::function<void(std::int64_t)> deliver;
+};
+
 class SimLoop;
 
 class SimTransport final : public net::Transport, public EventHandler {
@@ -130,6 +150,13 @@ class SimTransport final : public net::Transport, public EventHandler {
     next_dial_link_ = p;
     next_dial_link_set_ = true;
   }
+  // One-shot carriers for the next connect_* call: `up` carries the
+  // client->server direction, `down` server->client; null leaves that
+  // direction on the link. A carrier serves one connection.
+  void set_next_dial_carriers(StreamCarrier* up, StreamCarrier* down) {
+    next_up_carrier_ = up;
+    next_down_carrier_ = down;
+  }
   // Bytes a stream direction may hold un-read + in flight before writes
   // return EAGAIN (the SO_SNDBUF/receive-window analogue).
   void set_stream_buf_bytes(std::size_t n) { stream_buf_bytes_ = n; }
@@ -158,8 +185,9 @@ class SimTransport final : public net::Transport, public EventHandler {
 
   [[nodiscard]] const SimTransportStats& stats() const { return stats_; }
   // Bytes legitimately still in motion: segments scheduled but not yet
-  // delivered, plus sieve parse residue awaiting a complete frame.
-  // Closes the conservation identity (see header comment).
+  // delivered, carried bytes their carrier has not delivered, plus sieve
+  // parse residue awaiting a complete frame. Closes the conservation
+  // identity (see header comment).
   [[nodiscard]] std::int64_t stranded_bytes() const;
   // Live streams (both ends of every pair not yet torn down), not
   // handles ever issued.
@@ -190,6 +218,13 @@ class SimTransport final : public net::Transport, public EventHandler {
     bool notify_pending = false;
   };
 
+  // A carried direction: its carrier and the bytes sent through it that
+  // have not been delivered yet, oldest first.
+  struct Carried {
+    StreamCarrier* carrier = nullptr;
+    std::deque<std::uint8_t> queue;
+  };
+
   struct Stream {
     int peer = -1;
     bool server_side = false;  // created by accept (service end)
@@ -204,6 +239,8 @@ class SimTransport final : public net::Transport, public EventHandler {
     // Frame sieve state for drop injection (server-side writers only).
     std::vector<std::uint8_t> down_parse;
     bool raw_mode = false;
+    // Set when this direction rides a carrier (null on the link).
+    std::unique_ptr<Carried> carried;
     Watch watch;
   };
 
@@ -241,6 +278,13 @@ class SimTransport final : public net::Transport, public EventHandler {
     return h < table_.size() ? table_[h].listener.get() : nullptr;
   }
   int dial(int listener_handle);
+  // Forgets the one-shot dial overrides (link and carriers).
+  void clear_next_dial();
+  // Moves the next n carried bytes of `from_handle` to its peer's inbox.
+  void deliver_carried(int from_handle, std::int64_t n);
+  // Bytes a stream still holds for its peer: carried bytes in motion
+  // plus sieve parse residue.
+  [[nodiscard]] static std::int64_t residue(const Stream& s);
   net::IoLoop::TimerId add_timer(SimLoop* loop, std::int64_t delay_us,
                                  net::IoLoop::TimerCallback cb,
                                  std::int64_t period_us);
@@ -266,6 +310,8 @@ class SimTransport final : public net::Transport, public EventHandler {
   SimLinkParams default_link_;
   SimLinkParams next_dial_link_;
   bool next_dial_link_set_ = false;
+  StreamCarrier* next_up_carrier_ = nullptr;
+  StreamCarrier* next_down_carrier_ = nullptr;
   std::size_t stream_buf_bytes_ = 1 << 20;
   double drop_down_frac_ = 0.0;
   bool black_hole_ = false;

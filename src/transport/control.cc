@@ -1,159 +1,89 @@
 #include "transport/control.h"
 
-#include "common/ratecode.h"
+#include <algorithm>
+#include <limits>
 
 namespace ft::transport {
+namespace {
 
-ControlChannel::ControlChannel(std::unique_ptr<TcpFlow> flow)
+// The allocator <-> host connections' TCP: 20 us minRTO, 30 us maxRTO.
+TcpConfig control_tcp() {
+  TcpConfig c;
+  c.min_rto = 20 * kMicrosecond;
+  c.max_rto = 30 * kMicrosecond;
+  return c;
+}
+
+}  // namespace
+
+TcpCarrier::TcpCarrier(std::unique_ptr<TcpFlow> flow)
     : flow_(std::move(flow)) {
-  flow_->on_delivered = [this](std::int64_t n) { deliver(n); };
+  flow_->on_delivered = [this](std::int64_t n) {
+    if (deliver) deliver(n);
+  };
 }
 
-void ControlChannel::send_start(const core::FlowletStartMsg& m) {
-  Pending p;
-  p.type = 0;
-  p.start = m;
-  p.bytes = core::kFlowletStartBytes;
-  fifo_.push_back(p);
-  payload_sent_ += p.bytes;
-  flow_->app_send(p.bytes);
-}
-
-void ControlChannel::send_end(const core::FlowletEndMsg& m) {
-  Pending p;
-  p.type = 1;
-  p.end = m;
-  p.bytes = core::kFlowletEndBytes;
-  fifo_.push_back(p);
-  payload_sent_ += p.bytes;
-  flow_->app_send(p.bytes);
-}
-
-void ControlChannel::send_update(const core::RateUpdateMsg& m) {
-  Pending p;
-  p.type = 2;
-  p.update = m;
-  p.bytes = core::kRateUpdateBytes;
-  fifo_.push_back(p);
-  payload_sent_ += p.bytes;
-  flow_->app_send(p.bytes);
-}
-
-void ControlChannel::deliver(std::int64_t bytes) {
-  delivered_ += bytes;
-  // Consume every message whose final byte has now arrived in order
-  // ("updates ... are only applied when the corresponding bytes arrive,
-  // as in ns2's TcpApp").
-  while (!fifo_.empty() && consumed_ + fifo_.front().bytes <= delivered_) {
-    const Pending p = fifo_.front();
-    fifo_.pop_front();
-    consumed_ += p.bytes;
-    switch (p.type) {
-      case 0:
-        if (on_start) on_start(p.start);
-        break;
-      case 1:
-        if (on_end) on_end(p.end);
-        break;
-      case 2:
-        if (on_update) on_update(p.update);
-        break;
-      default:
-        FT_CHECK(false);
-    }
-  }
-}
-
-AllocatorApp::AllocatorApp(FlowRegistry& reg,
+ControlPlane::ControlPlane(FlowRegistry& reg,
                            const topo::ClosTopology& clos,
-                           AllocatorAppConfig cfg)
-    : reg_(reg),
-      clos_(clos),
-      cfg_(cfg),
+                           ControlPlaneConfig cfg)
+    : tr_(reg.net().events()),
+      loop_(tr_),
       alloc_(clos.graph().capacities(), cfg.allocator) {
   FT_CHECK(clos.config().with_allocator);
-  const std::int32_t n = clos.num_hosts();
-  up_.reserve(static_cast<std::size_t>(n));
-  down_.reserve(static_cast<std::size_t>(n));
-  for (std::int32_t h = 0; h < n; ++h) {
+  FT_CHECK(cfg.iteration_period > 0 &&
+           cfg.iteration_period % kMicrosecond == 0);
+  net::ServerConfig scfg;
+  scfg.transport = &tr_;
+  scfg.tcp_port = 0;
+  scfg.iteration_period_us = cfg.iteration_period / kMicrosecond;
+  scfg.metrics = cfg.allocator.metrics;
+  scfg.epoch = 1;
+  service_ =
+      std::make_unique<net::AllocatorService>(loop_, alloc_, clos, scfg);
+
+  net::AgentConfig acfg;
+  acfg.transport = &tr_;
+  const TcpConfig tcp = control_tcp();
+  for (std::int32_t h = 0; h < clos.num_hosts(); ++h) {
     const auto hash = static_cast<std::uint64_t>(h);
-    // Host -> allocator (notifications).
-    auto up_flow = std::make_unique<TcpFlow>(
-        reg_, h, /*dst=*/-1, clos.to_allocator_path(clos.host(h), hash),
-        clos.from_allocator_path(clos.host(h), hash), cfg_.control_tcp);
-    up_.push_back(std::make_unique<ControlChannel>(std::move(up_flow)));
-    up_.back()->on_start =
-        [this](const core::FlowletStartMsg& m) { handle_start(m); };
-    up_.back()->on_end =
-        [this](const core::FlowletEndMsg& m) { handle_end(m); };
-    // Allocator -> host (rate updates).
-    auto down_flow = std::make_unique<TcpFlow>(
-        reg_, /*src=*/-1, h, clos.from_allocator_path(clos.host(h), hash),
-        clos.to_allocator_path(clos.host(h), hash), cfg_.control_tcp);
-    down_.push_back(
-        std::make_unique<ControlChannel>(std::move(down_flow)));
-    down_.back()->on_update = [this, h](const core::RateUpdateMsg& m) {
-      if (on_rate_update) on_rate_update(h, m);
-    };
+    const topo::Path to = clos.to_allocator_path(clos.host(h), hash);
+    const topo::Path from = clos.from_allocator_path(clos.host(h), hash);
+    carriers_.push_back(std::make_unique<TcpCarrier>(
+        std::make_unique<TcpFlow>(reg, h, /*dst=*/-1, to, from, tcp)));
+    carriers_.push_back(std::make_unique<TcpCarrier>(
+        std::make_unique<TcpFlow>(reg, /*src=*/-1, h, from, to, tcp)));
+    tr_.set_next_dial_carriers(carriers_[carriers_.size() - 2].get(),
+                               carriers_.back().get());
+    auto& agent =
+        agents_.emplace_back(std::make_unique<net::EndpointAgent>(acfg));
+    FT_CHECK(agent->connect_tcp("allocator", service_->tcp_port()));
+    agent->set_rate_callback(
+        [this](std::uint32_t key, double rate_bps, std::uint16_t) {
+          if (on_rate) on_rate(key, rate_bps);
+        });
+    // Polled as its bytes land, so a rate applies on arrival.
+    net::EndpointAgent* a = agent.get();
+    loop_.add_fd(a->handle(), net::kEvRead,
+                 [a](std::uint32_t) { a->poll(); });
   }
 }
 
-void AllocatorApp::start() {
-  reg_.net().events().schedule(
-      reg_.net().events().now() + cfg_.iteration_period, this, 0, 0);
+void ControlPlane::flowlet_start(std::uint32_t key, std::int32_t src,
+                                 std::int32_t dst, std::int64_t size_bytes,
+                                 std::uint16_t weight_milli) {
+  net::EndpointAgent& a = *agents_[static_cast<std::size_t>(src)];
+  a.flowlet_start(key, static_cast<std::uint16_t>(src),
+                  static_cast<std::uint16_t>(dst),
+                  static_cast<std::uint32_t>(std::min<std::int64_t>(
+                      size_bytes, std::numeric_limits<std::uint32_t>::max())),
+                  weight_milli);
+  a.flush();
 }
 
-void AllocatorApp::notify_start(std::int32_t src_host,
-                                const core::FlowletStartMsg& m) {
-  up_[static_cast<std::size_t>(src_host)]->send_start(m);
-}
-
-void AllocatorApp::notify_end(std::int32_t src_host,
-                              const core::FlowletEndMsg& m) {
-  up_[static_cast<std::size_t>(src_host)]->send_end(m);
-}
-
-void AllocatorApp::handle_start(const core::FlowletStartMsg& m) {
-  // The allocator derives the flow's path exactly as the endpoint did:
-  // ECMP keyed by the flow key (§7: the allocator knows flow routes).
-  const auto path = clos_.host_path(clos_.host(m.src_host),
-                                    clos_.host(m.dst_host), m.flow_key);
-  std::vector<LinkId> links(path.begin(), path.end());
-  // Weighted proportional fairness: the notification carries the flow's
-  // weight in milli-units relative to the default utility weight.
-  core::Utility util = cfg_.allocator.default_util;
-  if (m.weight_milli != 1000 && m.weight_milli != 0) {
-    util.weight *= static_cast<double>(m.weight_milli) / 1000.0;
-  }
-  if (alloc_.flowlet_start(m.flow_key, links, util)) {
-    key_src_.emplace(m.flow_key, m.src_host);
-  }
-}
-
-void AllocatorApp::handle_end(const core::FlowletEndMsg& m) {
-  alloc_.flowlet_end(m.flow_key);
-  key_src_.erase(m.flow_key);
-}
-
-void AllocatorApp::run_iteration() {
-  scratch_updates_.clear();
-  alloc_.run_iteration(scratch_updates_);
-  ++iterations_;
-  for (const core::RateUpdate& u : scratch_updates_) {
-    const auto it = key_src_.find(static_cast<std::uint32_t>(u.key));
-    if (it == key_src_.end()) continue;  // flow ended meanwhile
-    core::RateUpdateMsg msg;
-    msg.flow_key = static_cast<std::uint32_t>(u.key);
-    msg.rate_code = u.rate_code;
-    down_[static_cast<std::size_t>(it->second)]->send_update(msg);
-  }
-}
-
-void AllocatorApp::on_event(std::uint32_t, std::uint64_t) {
-  if (stopped_) return;
-  run_iteration();
-  reg_.net().events().schedule(
-      reg_.net().events().now() + cfg_.iteration_period, this, 0, 0);
+void ControlPlane::flowlet_end(std::uint32_t key, std::int32_t src) {
+  net::EndpointAgent& a = *agents_[static_cast<std::size_t>(src)];
+  a.flowlet_end(key);
+  a.flush();
 }
 
 }  // namespace ft::transport

@@ -1,114 +1,82 @@
-// Flowtune control plane inside the simulation (paper §6.2):
+// Flowtune's control plane inside the packet simulation (paper §6.2).
 //
-//  * ControlChannel -- typed messages framed over a reliable TcpFlow byte
-//    stream. Like ns-2's TcpApp (which the paper uses), the simulated
-//    stream carries byte *counts* through the network -- experiencing
-//    queueing, drops and retransmission -- while message content rides a
-//    parallel FIFO that is consumed exactly when the corresponding bytes
-//    arrive in order. Message sizes are the paper's 16 / 4 / 6 bytes.
-//
-//  * AllocatorApp -- the allocator process on the allocator node: one up
-//    channel (notifications) and one down channel (rate updates) per
-//    host, a NED+F-NORM core::Allocator, and a 10 us iteration timer.
-//    Allocator<->host connections use TCP with 20 us minRTO / 30 us
-//    maxRTO.
+// The allocator node runs the shipped net::AllocatorService and every
+// host runs a shipped net::EndpointAgent. They talk over a
+// sim::SimTransport whose streams ride simulated TcpFlows between the
+// host and the allocator node: like ns-2's TcpApp, which the paper
+// uses, each TcpFlow carries byte *counts* through the data network --
+// queueing, drops and retransmission included -- and the frame bytes
+// reach the reader when their count arrives in order. The messages are
+// the shipped wire format (net/frame.h). Control connections use TCP
+// with a 20 us minRTO / 30 us maxRTO.
 #pragma once
 
-#include <deque>
+#include <functional>
 #include <memory>
-#include <unordered_map>
+#include <vector>
 
 #include "core/allocator.h"
-#include "core/messages.h"
+#include "net/client.h"
+#include "net/server.h"
+#include "sim/sim_transport.h"
 #include "topo/clos.h"
 #include "transport/tcp.h"
 
 namespace ft::transport {
 
-class ControlChannel {
+struct ControlPlaneConfig {
+  core::AllocatorConfig allocator;
+  // Allocation round period; a whole number of microseconds.
+  Time iteration_period = 10 * kMicrosecond;
+};
+
+// A sim::StreamCarrier over one TcpFlow: each segment becomes app_send
+// bytes, and the flow's in-order deliveries are reported back.
+class TcpCarrier final : public sim::StreamCarrier {
  public:
-  explicit ControlChannel(std::unique_ptr<TcpFlow> flow);
-
-  void send_start(const core::FlowletStartMsg& m);
-  void send_end(const core::FlowletEndMsg& m);
-  void send_update(const core::RateUpdateMsg& m);
-
-  std::function<void(const core::FlowletStartMsg&)> on_start;
-  std::function<void(const core::FlowletEndMsg&)> on_end;
-  std::function<void(const core::RateUpdateMsg&)> on_update;
-
-  [[nodiscard]] std::int64_t payload_bytes_sent() const {
-    return payload_sent_;
-  }
+  explicit TcpCarrier(std::unique_ptr<TcpFlow> flow);
+  void send(std::int64_t bytes) override { flow_->app_send(bytes); }
   [[nodiscard]] TcpFlow& flow() { return *flow_; }
 
  private:
-  struct Pending {
-    std::uint8_t type;  // 0 start, 1 end, 2 update
-    core::FlowletStartMsg start;
-    core::FlowletEndMsg end;
-    core::RateUpdateMsg update;
-    std::int64_t bytes;
-  };
-
-  void deliver(std::int64_t bytes);
-
   std::unique_ptr<TcpFlow> flow_;
-  std::deque<Pending> fifo_;
-  std::int64_t delivered_ = 0;
-  std::int64_t consumed_ = 0;
-  std::int64_t payload_sent_ = 0;
 };
 
-struct AllocatorAppConfig {
-  core::AllocatorConfig allocator;
-  Time iteration_period = 10 * kMicrosecond;
-  TcpConfig control_tcp = [] {
-    TcpConfig c;
-    c.min_rto = 20 * kMicrosecond;
-    c.max_rto = 30 * kMicrosecond;
-    return c;
-  }();
-};
-
-class AllocatorApp : public sim::EventHandler {
+class ControlPlane {
  public:
-  AllocatorApp(FlowRegistry& reg, const topo::ClosTopology& clos,
-               AllocatorAppConfig cfg);
+  // Creates each host's up and down control TcpFlow (host order, up
+  // first) and dials every agent; build it before any data flow. It
+  // binds the simulator's clock, so destroy it before the simulator.
+  ControlPlane(FlowRegistry& reg, const topo::ClosTopology& clos,
+               ControlPlaneConfig cfg);
+  ControlPlane(const ControlPlane&) = delete;  // callbacks hold `this`
+  ControlPlane& operator=(const ControlPlane&) = delete;
 
-  void start();  // begins the iteration timer
-  // Simulates an allocator failure (§2): iterations cease and no further
-  // rate updates are sent; endpoints keep their last allocated rates.
-  void stop() { stopped_ = true; }
+  // Host `src`'s agent notifies the allocator; the message leaves the
+  // host now.
+  void flowlet_start(std::uint32_t key, std::int32_t src, std::int32_t dst,
+                     std::int64_t size_bytes = 0,
+                     std::uint16_t weight_milli = 1000);
+  void flowlet_end(std::uint32_t key, std::int32_t src);
+  // Rates as the source host's agent applies them: (flow key, bit/s).
+  std::function<void(std::uint32_t, double)> on_rate;
 
-  // Endpoint-side API (used by Flowtune hosts).
-  void notify_start(std::int32_t src_host, const core::FlowletStartMsg& m);
-  void notify_end(std::int32_t src_host, const core::FlowletEndMsg& m);
-  // Rate updates arrive at the *source* host of the flow; endpoints
-  // subscribe here.
-  std::function<void(std::int32_t host, const core::RateUpdateMsg&)>
-      on_rate_update;
+  // Allocator failure (§2): the service goes away, agents see EOF, and
+  // endpoints keep the rates they last applied.
+  void stop() { service_.reset(); }
 
   [[nodiscard]] const core::Allocator& allocator() const { return alloc_; }
-  [[nodiscard]] std::uint64_t iterations() const { return iterations_; }
-
-  void on_event(std::uint32_t tag, std::uint64_t arg) override;
+  [[nodiscard]] std::uint64_t iterations() const {
+    return alloc_.stats().iterations;
+  }
 
  private:
-  void handle_start(const core::FlowletStartMsg& m);
-  void handle_end(const core::FlowletEndMsg& m);
-  void run_iteration();
-
-  FlowRegistry& reg_;
-  const topo::ClosTopology& clos_;
-  AllocatorAppConfig cfg_;
+  sim::SimTransport tr_;
+  sim::SimLoop loop_;
+  std::vector<std::unique_ptr<TcpCarrier>> carriers_;  // per host: up, down
   core::Allocator alloc_;
-  std::vector<std::unique_ptr<ControlChannel>> up_;    // per host
-  std::vector<std::unique_ptr<ControlChannel>> down_;  // per host
-  std::unordered_map<std::uint32_t, std::int32_t> key_src_;
-  std::vector<core::RateUpdate> scratch_updates_;
-  std::uint64_t iterations_ = 0;
-  bool stopped_ = false;
+  std::unique_ptr<net::AllocatorService> service_;
+  std::vector<std::unique_ptr<net::EndpointAgent>> agents_;  // per host
 };
 
 }  // namespace ft::transport

@@ -2,7 +2,6 @@
 
 #include <unordered_map>
 
-#include "common/ratecode.h"
 #include "transport/cubic.h"
 #include "transport/dctcp.h"
 #include "transport/pfabric.h"
@@ -114,6 +113,29 @@ TcpConfig make_data_tcp_config(Scheme s) {
   return c;
 }
 
+std::unique_ptr<TcpFlow> make_flow(Scheme s, FlowRegistry& reg,
+                                   const topo::ClosTopology& clos,
+                                   std::int32_t src, std::int32_t dst,
+                                   std::uint64_t hash) {
+  const auto fwd = clos.host_path(clos.host(src), clos.host(dst), hash);
+  const auto rev = clos.host_path(clos.host(dst), clos.host(src), hash);
+  const TcpConfig tc = make_data_tcp_config(s);
+  switch (s) {
+    case Scheme::kDctcp:
+      return std::make_unique<DctcpFlow>(reg, src, dst, fwd, rev, tc);
+    case Scheme::kPfabric:
+      return std::make_unique<PfabricFlow>(reg, src, dst, fwd, rev, tc);
+    case Scheme::kSfqCodel:
+      return std::make_unique<CubicFlow>(reg, src, dst, fwd, rev, tc);
+    case Scheme::kXcp:
+      return std::make_unique<XcpFlow>(reg, src, dst, fwd, rev, tc);
+    case Scheme::kFlowtune:
+    case Scheme::kTcp:
+      return std::make_unique<TcpFlow>(reg, src, dst, fwd, rev, tc);
+  }
+  FT_CHECK(false);
+}
+
 namespace {
 
 // Drives the workload: creates a transport flow per flowlet event and
@@ -121,14 +143,13 @@ namespace {
 class ExperimentDriver : public sim::EventHandler {
  public:
   ExperimentDriver(const ExpConfig& cfg, const topo::ClosTopology& clos,
-                   sim::Simulator& s, sim::Network& net,
-                   FlowRegistry& reg, AllocatorApp* alloc_app)
+                   sim::Simulator& s, FlowRegistry& reg,
+                   ControlPlane* control)
       : cfg_(cfg),
         clos_(clos),
         sim_(s),
-        net_(net),
         reg_(reg),
-        alloc_app_(alloc_app),
+        control_(control),
         gen_([&] {
           wl::TrafficConfig tc = cfg.traffic;
           tc.num_hosts = clos.config().num_hosts();
@@ -136,11 +157,11 @@ class ExperimentDriver : public sim::EventHandler {
           return tc;
         }()),
         stats_(clos) {
-    if (alloc_app_ != nullptr) {
-      alloc_app_->on_rate_update =
-          [this](std::int32_t host, const core::RateUpdateMsg& m) {
-            apply_rate_update(host, m);
-          };
+    if (control_ != nullptr) {
+      control_->on_rate = [this](std::uint32_t key, double rate_bps) {
+        const auto it = key_to_flow_.find(key);
+        if (it != key_to_flow_.end()) it->second->set_pacing_rate(rate_bps);
+      };
     }
   }
 
@@ -172,34 +193,13 @@ class ExperimentDriver : public sim::EventHandler {
     sim_.events.schedule(next_.start, this, 0, 0);
   }
 
-  std::unique_ptr<TcpFlow> make_flow(std::int32_t src, std::int32_t dst,
-                                     std::uint64_t hash) {
-    const auto fwd = clos_.host_path(clos_.host(src), clos_.host(dst), hash);
-    const auto rev = clos_.host_path(clos_.host(dst), clos_.host(src), hash);
-    const TcpConfig tc = make_data_tcp_config(cfg_.scheme);
-    switch (cfg_.scheme) {
-      case Scheme::kDctcp:
-        return std::make_unique<DctcpFlow>(reg_, src, dst, fwd, rev, tc);
-      case Scheme::kPfabric:
-        return std::make_unique<PfabricFlow>(reg_, src, dst, fwd, rev,
-                                             tc);
-      case Scheme::kSfqCodel:
-        return std::make_unique<CubicFlow>(reg_, src, dst, fwd, rev, tc);
-      case Scheme::kXcp:
-        return std::make_unique<XcpFlow>(reg_, src, dst, fwd, rev, tc);
-      case Scheme::kFlowtune:
-      case Scheme::kTcp:
-        return std::make_unique<TcpFlow>(reg_, src, dst, fwd, rev, tc);
-    }
-    FT_CHECK(false);
-  }
-
   void launch_flow(const wl::FlowletEvent& ev) {
     ++started_;
     // The ECMP hash must be identical at the endpoint and the allocator;
     // both use the flow key, which is the registry id assigned to the
     // flow created next.
-    auto probe = make_flow(ev.src_host, ev.dst_host, reg_.next_id());
+    auto probe = make_flow(cfg_.scheme, reg_, clos_, ev.src_host,
+                           ev.dst_host, reg_.next_id());
     TcpFlow* flow = probe.get();
     flows_.push_back(std::move(probe));
     const std::uint32_t id = flow->flow_id();
@@ -216,10 +216,8 @@ class ExperimentDriver : public sim::EventHandler {
         ++completed_measured_;
         stats_.on_flow_complete(id, sim_.now());
       }
-      if (alloc_app_ != nullptr) {
-        core::FlowletEndMsg end;
-        end.flow_key = id;
-        alloc_app_->notify_end(ev.src_host, end);
+      if (control_ != nullptr) {
+        control_->flowlet_end(id, ev.src_host);
         key_to_flow_.erase(id);
       }
     };
@@ -228,33 +226,19 @@ class ExperimentDriver : public sim::EventHandler {
         goodput_bytes_ += b;
       }
     };
-    if (alloc_app_ != nullptr) {
+    if (control_ != nullptr) {
       key_to_flow_.emplace(id, flow);
-      core::FlowletStartMsg m;
-      m.flow_key = id;
-      m.src_host = static_cast<std::uint16_t>(ev.src_host);
-      m.dst_host = static_cast<std::uint16_t>(ev.dst_host);
-      m.size_hint_bytes = static_cast<std::uint32_t>(
-          std::min<std::int64_t>(ev.bytes, UINT32_MAX));
-      alloc_app_->notify_start(ev.src_host, m);
+      control_->flowlet_start(id, ev.src_host, ev.dst_host, ev.bytes);
     }
     flow->app_send(ev.bytes);
     flow->app_close();
   }
 
-  void apply_rate_update(std::int32_t /*host*/,
-                         const core::RateUpdateMsg& m) {
-    const auto it = key_to_flow_.find(m.flow_key);
-    if (it == key_to_flow_.end()) return;  // already finished
-    it->second->set_pacing_rate(decode_rate(m.rate_code));
-  }
-
   const ExpConfig& cfg_;
   const topo::ClosTopology& clos_;
   sim::Simulator& sim_;
-  sim::Network& net_;
   FlowRegistry& reg_;
-  AllocatorApp* alloc_app_;
+  ControlPlane* control_;
   wl::TrafficGenerator gen_;
   wl::FlowletEvent next_{};
   sim::FlowStats stats_;
@@ -278,13 +262,12 @@ ExpResult run_experiment(const ExpConfig& cfg) {
   sim::Network net(s.events, s.pool, clos, make_queue_factory(cfg));
   FlowRegistry reg(net);
 
-  std::unique_ptr<AllocatorApp> alloc_app;
+  std::unique_ptr<ControlPlane> control;
   if (cfg.scheme == Scheme::kFlowtune) {
-    alloc_app = std::make_unique<AllocatorApp>(reg, clos, cfg.allocator);
-    alloc_app->start();
+    control = std::make_unique<ControlPlane>(reg, clos, cfg.allocator);
   }
 
-  ExperimentDriver driver(cfg, clos, s, net, reg, alloc_app.get());
+  ExperimentDriver driver(cfg, clos, s, reg, control.get());
   driver.start();
 
   // Warmup, then measure.
@@ -296,10 +279,10 @@ ExpResult run_experiment(const ExpConfig& cfg) {
   sampler.start(cfg.warmup + cfg.duration);
 
   const std::uint64_t updates0 =
-      alloc_app ? alloc_app->allocator().stats().updates_emitted : 0;
+      control ? control->allocator().stats().updates_emitted : 0;
   std::int64_t to_alloc0 = 0, from_alloc0 = 0;
   const auto control_bytes = [&](std::int64_t* to, std::int64_t* from) {
-    if (!alloc_app) return;
+    if (!control) return;
     *to = 0;
     *from = 0;
     const auto& g = clos.graph();
@@ -320,7 +303,7 @@ ExpResult run_experiment(const ExpConfig& cfg) {
   std::int64_t to_alloc1 = 0, from_alloc1 = 0;
   control_bytes(&to_alloc1, &from_alloc1);
   const std::uint64_t updates1 =
-      alloc_app ? alloc_app->allocator().stats().updates_emitted : 0;
+      control ? control->allocator().stats().updates_emitted : 0;
 
   // Drain stragglers (their completions still count for flows that
   // started in the window).

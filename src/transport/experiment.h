@@ -37,7 +37,7 @@ struct ExpConfig {
   Time warmup = 5 * kMillisecond;      // excluded from all statistics
   Time drain = 10 * kMillisecond;      // extra time for stragglers
   Time queue_sample_period = 1 * kMillisecond;  // §6.5
-  AllocatorAppConfig allocator;   // Flowtune only
+  ControlPlaneConfig allocator;   // Flowtune only
   // Scheme knobs (per-10G-link values; scaled by capacity).
   std::int64_t dctcp_marking_bytes = 65 * 1538;
   std::int64_t droptail_limit_bytes = 512 * 1538;
@@ -93,5 +93,11 @@ struct ExpResult {
 
 // Builds the per-scheme data-flow TcpConfig (exposed for tests).
 [[nodiscard]] TcpConfig make_data_tcp_config(Scheme s);
+
+// Builds scheme `s`'s data flow from host `src` to `dst` on the ECMP
+// paths that `hash` picks (both directions).
+[[nodiscard]] std::unique_ptr<TcpFlow> make_flow(
+    Scheme s, FlowRegistry& reg, const topo::ClosTopology& clos,
+    std::int32_t src, std::int32_t dst, std::uint64_t hash);
 
 }  // namespace ft::transport

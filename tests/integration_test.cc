@@ -5,7 +5,6 @@
 
 #include <memory>
 
-#include "common/ratecode.h"
 #include "sim/simulator.h"
 #include "topo/clos.h"
 #include "transport/control.h"
@@ -126,10 +125,7 @@ TEST(FailureTest, AllocatorOutageLeavesRatesUsable) {
     return std::make_unique<sim::DropTailQueue>(512 * 1538);
   });
   FlowRegistry reg(net);
-  auto app = std::make_unique<AllocatorApp>(reg, clos,
-                                            AllocatorAppConfig{});
-  // NOTE: app->start() is never called after the "failure" below.
-  app->start();
+  ControlPlane control(reg, clos, ControlPlaneConfig{});
 
   TcpConfig tc;
   tc.min_rto = from_ms(1);
@@ -139,23 +135,19 @@ TEST(FailureTest, AllocatorOutageLeavesRatesUsable) {
   TcpFlow flow(reg, 0, 6, fwd, rev, tc);
   std::int64_t delivered = 0;
   flow.on_delivered = [&](std::int64_t n) { delivered += n; };
-  app->on_rate_update = [&](std::int32_t, const core::RateUpdateMsg& m) {
-    if (m.flow_key == key) flow.set_pacing_rate(decode_rate(m.rate_code));
+  control.on_rate = [&](std::uint32_t k, double rate_bps) {
+    if (k == key) flow.set_pacing_rate(rate_bps);
   };
-  core::FlowletStartMsg m;
-  m.flow_key = key;
-  m.src_host = 0;
-  m.dst_host = 6;
-  app->notify_start(0, m);
+  control.flowlet_start(key, 0, 6);
   flow.app_send(std::int64_t{1} << 30);
 
   s.run_until(from_ms(2));
   const double rate_before = flow.pacing_rate();
   EXPECT_GT(rate_before, 9e9 * 0.9);  // ~ full host link
 
-  // Allocator "crashes": iterations stop, no more updates are sent.
-  // Existing allocations remain in force at the endpoint.
-  app->stop();
+  // Allocator "crashes": the service goes away, no more updates are
+  // sent. Existing allocations remain in force at the endpoint.
+  control.stop();
   const std::int64_t at_crash = delivered;
   s.run_until(from_ms(6));
   const double rate_after = static_cast<double>(delivered - at_crash) *

@@ -1269,6 +1269,56 @@ TEST_F(ShardedLoopbackTest, UpdateWithoutAnOwnerIsCountedOrphaned) {
   }
 }
 
+// Under sustained ingress a threaded shard's up ring stays full; each
+// allocation-thread wakeup applies at most kUpDrainBudget events and
+// re-kicks itself, so the loop gets back to its timers (the round)
+// between drains instead of staying inside one drain.
+TEST_F(ShardedLoopbackTest, UpRingDrainsOneBudgetPerWakeup) {
+  const topo::ClosTopology clos(small_clos());
+  core::Allocator alloc(clos.graph().capacities(), alloc_cfg());
+  EpollLoop loop;
+  ServerConfig scfg;
+  scfg.tcp_port = 0;
+  scfg.iteration_period_us = 0;  // no round timer: wakeups only
+  scfg.num_shards = 1;
+  AllocatorService svc(loop, alloc, clos, scfg);
+  EndpointAgent agent;
+  ASSERT_TRUE(agent.connect_tcp("127.0.0.1", svc.tcp_port()));
+  const std::int64_t deadline = EpollLoop::now_us() + 5'000'000;
+  while (svc.num_connections() == 0) {
+    ASSERT_LT(EpollLoop::now_us(), deadline);
+    loop.run_once(1'000);
+  }
+
+  // Flood the ring without running the caller's loop.
+  constexpr std::size_t kFlood = 3 * kUpDrainBudget;
+  const auto hosts = static_cast<std::uint32_t>(clos.num_hosts());
+  for (std::uint32_t k = 1; k <= kFlood; ++k) {
+    ASSERT_TRUE(agent.flowlet_start(k, static_cast<std::uint16_t>(k % hosts),
+                                    static_cast<std::uint16_t>((k + 1) %
+                                                               hosts)));
+  }
+  agent.flush();
+  const obs::Gauge& depth = svc.metrics().gauge("net.shard0.up_depth_hw");
+  while (depth.value() < static_cast<std::int64_t>(kFlood)) {
+    ASSERT_LT(EpollLoop::now_us(), deadline);
+    ASSERT_TRUE(agent.poll());  // writes whatever the socket pushed back
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  // The shard's kick may still be on its way; the first wakeup that
+  // finds it applies the first budget.
+  while (svc.stats().flowlet_starts == 0) {
+    ASSERT_LT(EpollLoop::now_us(), deadline);
+    loop.run_once(0);
+  }
+  EXPECT_EQ(svc.stats().flowlet_starts, kUpDrainBudget);
+  loop.run_once(0);
+  EXPECT_EQ(svc.stats().flowlet_starts, 2 * kUpDrainBudget);
+  loop.run_once(0);
+  EXPECT_EQ(svc.stats().flowlet_starts, 3 * kUpDrainBudget);
+  EXPECT_EQ(alloc.num_active_flowlets(), kFlood);
+}
+
 TEST_F(ShardedLoopbackTest, SampledStartProducesCompleteSevenHopSpan) {
   // End-to-end trace propagation through the sharded service: a sampled
   // flowlet_start (traced flag + TraceMarkMsg in the same batch) must

@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cerrno>
 #include <memory>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
-#include "common/ratecode.h"
 #include "sim/simulator.h"
 #include "topo/clos.h"
 #include "transport/control.h"
@@ -357,45 +360,203 @@ TEST(XcpTest, TwoFlowsConvergeToFairShare) {
   EXPECT_LT(rate_b, 0.7 * 10e9);
 }
 
-TEST(ControlChannelTest, DeliversTypedMessagesInOrder) {
-  topo::ClosConfig cfg = TestNet::default_cfg();
-  cfg.with_allocator = true;
-  TestNet t(1 << 20, 0, cfg);
-  TcpConfig cc;
-  cc.min_rto = from_us(20);
-  cc.max_rto = from_us(30);
-  auto up_flow = std::make_unique<TcpFlow>(
-      t.reg, 0, -1, t.clos.to_allocator_path(t.clos.host(0), 0),
-      t.clos.from_allocator_path(t.clos.host(0), 0), cc);
-  ControlChannel ch(std::move(up_flow));
-  std::vector<std::uint32_t> got_starts, got_ends;
-  ch.on_start = [&](const core::FlowletStartMsg& m) {
-    got_starts.push_back(m.flow_key);
-  };
-  ch.on_end = [&](const core::FlowletEndMsg& m) {
-    got_ends.push_back(m.flow_key);
-  };
-  core::FlowletStartMsg s1;
-  s1.flow_key = 101;
-  s1.src_host = 0;
-  s1.dst_host = 3;
-  ch.send_start(s1);
-  core::FlowletEndMsg e1;
-  e1.flow_key = 101;
-  ch.send_end(e1);
-  core::FlowletStartMsg s2;
-  s2.flow_key = 202;
-  ch.send_start(s2);
-  t.s.run_until(from_ms(1));
-  ASSERT_EQ(got_starts.size(), 2u);
-  EXPECT_EQ(got_starts[0], 101u);
-  EXPECT_EQ(got_starts[1], 202u);
-  ASSERT_EQ(got_ends.size(), 1u);
-  EXPECT_EQ(got_ends[0], 101u);
-  EXPECT_EQ(ch.payload_bytes_sent(), 16 + 4 + 16);
+// One SimTransport connection between host 0 and the allocator node
+// whose directions ride TcpFlows: up carries client -> server bytes,
+// down server -> client. Every step checks the byte-conservation
+// identity.
+class CarriedStreamTest : public ::testing::Test {
+ protected:
+  CarriedStreamTest()
+      : t_(1 << 20, 0, with_allocator()),
+        up_(control_flow(0, -1)),
+        down_(control_flow(-1, 0)),
+        tr_(t_.s.events) {
+    // Count what each TcpFlow delivers, then hand it to the transport.
+    for (auto [carrier, landed] : {std::pair{&up_, &up_landed_},
+                                   std::pair{&down_, &down_landed_}}) {
+      carrier->flow().on_delivered =
+          [landed, inner = carrier->flow().on_delivered](std::int64_t n) {
+            *landed += n;
+            inner(n);
+          };
+    }
+    int port = 0;
+    listener_ = tr_.listen_tcp(0, false, &port);
+    tr_.set_next_dial_carriers(&up_, &down_);
+    client_ = tr_.connect_tcp("allocator", port);
+    step(from_us(10));  // the SYN lands after the link latency
+    server_ = tr_.accept(listener_);
+    EXPECT_GE(client_, 0);
+    EXPECT_GE(server_, 0);
+  }
+
+  static topo::ClosConfig with_allocator() {
+    topo::ClosConfig cfg = TestNet::default_cfg();
+    cfg.with_allocator = true;
+    return cfg;
+  }
+
+  std::unique_ptr<TcpFlow> control_flow(std::int32_t src, std::int32_t dst) {
+    const NodeId host = t_.clos.host(0);
+    const bool up = src == 0;
+    TcpConfig cc;
+    cc.min_rto = from_us(20);
+    cc.max_rto = from_us(30);
+    return std::make_unique<TcpFlow>(
+        t_.reg, src, dst,
+        up ? t_.clos.to_allocator_path(host, 0)
+           : t_.clos.from_allocator_path(host, 0),
+        up ? t_.clos.from_allocator_path(host, 0)
+           : t_.clos.to_allocator_path(host, 0),
+        cc);
+  }
+
+  // Every byte write() accepted has exactly one fate.
+  [[nodiscard]] bool balanced() const {
+    const sim::SimTransportStats& st = tr_.stats();
+    return st.bytes_accepted ==
+           st.bytes_delivered + st.bytes_blackholed +
+               st.bytes_partitioned_up + st.bytes_partitioned_down +
+               st.bytes_dropped_sieve + st.bytes_dropped_closed +
+               tr_.stranded_bytes();
+  }
+
+  void step(Time dt) {
+    t_.s.run_until(t_.s.now() + dt);
+    EXPECT_TRUE(balanced()) << "at " << to_us(t_.s.now()) << " us";
+  }
+
+  static std::vector<std::uint8_t> pattern(std::size_t n, int salt) {
+    std::vector<std::uint8_t> v(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      v[i] = static_cast<std::uint8_t>((i * 7 + static_cast<std::size_t>(
+                                                    salt)) % 251);
+    }
+    return v;
+  }
+
+  std::int64_t write_all(int h, const std::vector<std::uint8_t>& v) {
+    return tr_.write(h, v.data(), v.size());
+  }
+
+  // Appends what `h` can read now; returns read()'s last result.
+  std::int64_t read_into(int h, std::vector<std::uint8_t>& out) {
+    std::uint8_t buf[4096];
+    for (;;) {
+      const std::int64_t n = tr_.read(h, buf, sizeof buf);
+      if (n <= 0) return n;
+      out.insert(out.end(), buf, buf + n);
+    }
+  }
+
+  TestNet t_;
+  TcpCarrier up_;
+  TcpCarrier down_;
+  std::int64_t up_landed_ = 0;
+  std::int64_t down_landed_ = 0;
+  sim::SimTransport tr_;
+  int listener_ = -1;
+  int client_ = -1;
+  int server_ = -1;
+};
+
+TEST_F(CarriedStreamTest, BytesLandInOrderOnlyAsTheTcpFlowDelivers) {
+  std::vector<std::uint8_t> sent_up;
+  for (const std::size_t n : {1000u, 3000u, 17u}) {
+    const auto chunk = pattern(n, static_cast<int>(sent_up.size()));
+    ASSERT_EQ(write_all(client_, chunk), static_cast<std::int64_t>(n));
+    sent_up.insert(sent_up.end(), chunk.begin(), chunk.end());
+  }
+  const auto sent_down = pattern(2500, 3);
+  ASSERT_EQ(write_all(server_, sent_down), 2500);
+  std::vector<std::uint8_t> got_up, got_down;
+  for (int i = 0; i < 150; ++i) {
+    step(from_us(7));
+    read_into(server_, got_up);
+    read_into(client_, got_down);
+    // Readable exactly when, and as far as, the TcpFlow delivered.
+    ASSERT_EQ(static_cast<std::int64_t>(got_up.size()), up_landed_);
+    ASSERT_EQ(static_cast<std::int64_t>(got_down.size()), down_landed_);
+  }
+  EXPECT_EQ(got_up, sent_up);
+  EXPECT_EQ(got_down, sent_down);
+  EXPECT_EQ(tr_.stranded_bytes(), 0);
+  EXPECT_EQ(tr_.stats().bytes_delivered, 4017 + 2500);
 }
 
-TEST(AllocatorAppTest, EndToEndRateConvergence) {
+TEST_F(CarriedStreamTest, WritePastTheStreamBufferReturnsEagain) {
+  tr_.set_stream_buf_bytes(4096);
+  const auto big = pattern(10'000, 1);
+  ASSERT_EQ(write_all(client_, big), 4096);
+  errno = 0;
+  EXPECT_EQ(write_all(client_, big), -1);
+  EXPECT_EQ(errno, EAGAIN);
+  // Once the carried bytes land and are read, the window reopens.
+  std::vector<std::uint8_t> got;
+  while (got.size() < 4096) {
+    step(from_us(7));
+    read_into(server_, got);
+    ASSERT_LT(t_.s.now(), from_ms(1));
+  }
+  EXPECT_EQ(write_all(client_, big), 4096);
+}
+
+TEST_F(CarriedStreamTest, EofComesOnlyAfterTheCarriedBytesLand) {
+  const auto data = pattern(20'000, 2);
+  ASSERT_EQ(write_all(client_, data), 20'000);
+  tr_.close(client_);  // the FIN overtakes the carried bytes
+  std::vector<std::uint8_t> got;
+  std::int64_t last = -1;
+  while (last != 0) {
+    step(from_us(7));
+    last = read_into(server_, got);
+    if (last == 0) break;
+    ASSERT_EQ(last, -1);
+    ASSERT_EQ(errno, EAGAIN) << "at " << got.size() << " bytes";
+    ASSERT_LT(t_.s.now(), from_ms(1));
+  }
+  EXPECT_EQ(got, data);
+}
+
+TEST_F(CarriedStreamTest, ClosingWithBytesInFlightCountsThemDropped) {
+  const auto data = pattern(30'000, 4);
+  ASSERT_EQ(write_all(client_, data), 30'000);
+  tr_.close(server_);  // bytes landing from now on die at a closed door
+  step(from_us(14));
+  const std::int64_t landed = up_landed_;
+  EXPECT_GT(landed, 0);
+  EXPECT_LT(landed, 30'000);
+  EXPECT_EQ(tr_.stats().bytes_dropped_closed, landed);
+  // The pair goes with the client's close; its queue residue with it.
+  tr_.close(client_);
+  EXPECT_TRUE(balanced());
+  EXPECT_EQ(tr_.stats().bytes_dropped_closed, 30'000);
+  EXPECT_EQ(tr_.stranded_bytes(), 0);
+  // The TcpFlow still delivers; the bytes were already counted.
+  for (int i = 0; i < 40; ++i) step(from_us(7));
+  EXPECT_EQ(up_landed_, 30'000);
+  EXPECT_EQ(tr_.stats().bytes_dropped_closed, 30'000);
+  EXPECT_EQ(tr_.stats().bytes_delivered, 0);
+}
+
+TEST_F(CarriedStreamTest, PartitionDownLosesOnlyDownBytesAndBalances) {
+  tr_.set_partition_down(true);
+  ASSERT_EQ(write_all(server_, pattern(1500, 5)), 1500);
+  const auto up = pattern(900, 6);
+  ASSERT_EQ(write_all(client_, up), 900);
+  std::vector<std::uint8_t> got_up, got_down;
+  for (int i = 0; i < 60; ++i) {
+    step(from_us(7));
+    read_into(server_, got_up);
+    read_into(client_, got_down);
+  }
+  EXPECT_EQ(tr_.stats().bytes_partitioned_down, 1500);
+  EXPECT_EQ(down_landed_, 0);  // nothing reached the down TcpFlow
+  EXPECT_TRUE(got_down.empty());
+  EXPECT_EQ(got_up, up);
+}
+
+TEST(ControlPlaneTest, EndToEndRateConvergence) {
   // Two Flowtune flows from different sources into one destination: the
   // allocator must pace both to ~half the downlink within a short time.
   topo::ClosConfig cfg = TestNet::default_cfg();
@@ -406,8 +567,7 @@ TEST(AllocatorAppTest, EndToEndRateConvergence) {
     return std::make_unique<sim::DropTailQueue>(256 * 1538);
   });
   FlowRegistry reg(net);
-  AllocatorApp app(reg, clos, AllocatorAppConfig{});
-  app.start();
+  ControlPlane control(reg, clos, ControlPlaneConfig{});
 
   TcpConfig tc;
   tc.min_rto = from_ms(1);
@@ -421,27 +581,23 @@ TEST(AllocatorAppTest, EndToEndRateConvergence) {
   auto f2 = mk(1, 6);
   std::unordered_map<std::uint32_t, TcpFlow*> by_key{
       {f1->flow_id(), f1.get()}, {f2->flow_id(), f2.get()}};
-  app.on_rate_update = [&](std::int32_t, const core::RateUpdateMsg& m) {
-    by_key[m.flow_key]->set_pacing_rate(decode_rate(m.rate_code));
+  control.on_rate = [&](std::uint32_t key, double rate_bps) {
+    by_key[key]->set_pacing_rate(rate_bps);
   };
   for (auto* f : {f1.get(), f2.get()}) {
-    core::FlowletStartMsg m;
-    m.flow_key = f->flow_id();
-    m.src_host = static_cast<std::uint16_t>(f->src_host());
-    m.dst_host = static_cast<std::uint16_t>(f->dst_host());
-    app.notify_start(f->src_host(), m);
+    control.flowlet_start(f->flow_id(), f->src_host(), f->dst_host());
     f->app_send(1 << 30);
   }
   s.events.run_until(from_ms(2));
   // Both paced to ~(0.99 * 10G) / 2.
   EXPECT_NEAR(f1->pacing_rate(), 0.99 * 5e9, 0.99 * 5e9 * 0.05);
   EXPECT_NEAR(f2->pacing_rate(), 0.99 * 5e9, 0.99 * 5e9 * 0.05);
-  EXPECT_GT(app.iterations(), 100u);
+  EXPECT_GT(control.iterations(), 100u);
 }
 
-TEST(AllocatorAppTest, WeightedFlowsGetWeightedRates) {
-  // The 16-byte start notification carries a weight; the allocator must
-  // split the shared bottleneck proportionally (weighted proportional
+TEST(ControlPlaneTest, WeightedFlowsGetWeightedRates) {
+  // The start notification carries a weight; the allocator must split
+  // the shared bottleneck proportionally (weighted proportional
   // fairness, §2 "different flows can have different utility functions").
   topo::ClosConfig cfg = TestNet::default_cfg();
   cfg.with_allocator = true;
@@ -451,8 +607,7 @@ TEST(AllocatorAppTest, WeightedFlowsGetWeightedRates) {
     return std::make_unique<sim::DropTailQueue>(256 * 1538);
   });
   FlowRegistry reg(net);
-  AllocatorApp app(reg, clos, AllocatorAppConfig{});
-  app.start();
+  ControlPlane control(reg, clos, ControlPlaneConfig{});
 
   TcpConfig tc;
   tc.min_rto = from_ms(1);
@@ -466,18 +621,14 @@ TEST(AllocatorAppTest, WeightedFlowsGetWeightedRates) {
   auto f2 = mk(1, 6);
   std::unordered_map<std::uint32_t, TcpFlow*> by_key{
       {f1->flow_id(), f1.get()}, {f2->flow_id(), f2.get()}};
-  app.on_rate_update = [&](std::int32_t, const core::RateUpdateMsg& m) {
-    by_key[m.flow_key]->set_pacing_rate(decode_rate(m.rate_code));
+  control.on_rate = [&](std::uint32_t key, double rate_bps) {
+    by_key[key]->set_pacing_rate(rate_bps);
   };
   const std::uint16_t weights[2] = {1000, 3000};  // 1 : 3
   TcpFlow* flows[2] = {f1.get(), f2.get()};
   for (int i = 0; i < 2; ++i) {
-    core::FlowletStartMsg m;
-    m.flow_key = flows[i]->flow_id();
-    m.src_host = static_cast<std::uint16_t>(flows[i]->src_host());
-    m.dst_host = static_cast<std::uint16_t>(flows[i]->dst_host());
-    m.weight_milli = weights[i];
-    app.notify_start(flows[i]->src_host(), m);
+    control.flowlet_start(flows[i]->flow_id(), flows[i]->src_host(),
+                          flows[i]->dst_host(), 0, weights[i]);
     flows[i]->app_send(1 << 30);
   }
   s.events.run_until(from_ms(2));
@@ -554,7 +705,9 @@ std::uint64_t result_hash(const ExpResult& r) {
 // were recorded with a plain single-heap event queue; lanes, lazy timers
 // and the 4-ary heaps must keep its (time, seq) event order and so every
 // output bit. `events` and `peak_pending_events` pin the simulator's
-// cost, which moves only when the queue's entries do.
+// cost, which moves only when the queue's entries do. The Flowtune row
+// was recorded with the shipped AllocatorService and EndpointAgents
+// talking the shipped wire format over simulated TCP.
 TEST(ExperimentTest, SmokeOutputsArePinned) {
   struct Pin {
     Scheme scheme;
@@ -566,7 +719,7 @@ TEST(ExperimentTest, SmokeOutputsArePinned) {
     std::uint64_t peak_pending;
   };
   const Pin pins[] = {
-      {Scheme::kFlowtune, 664, 601, 4600, 0x0846c6b4eb2ee06eULL, 538529, 237},
+      {Scheme::kFlowtune, 664, 601, 4574, 0x5be8ace7098a44ecULL, 511070, 219},
       {Scheme::kDctcp, 664, 601, 0, 0xed7a86b91399dbc0ULL, 413325, 217},
       {Scheme::kPfabric, 664, 599, 0, 0x436409a949e18125ULL, 372992, 117},
       {Scheme::kSfqCodel, 664, 599, 0, 0x88eb26fcd5228108ULL, 404079, 516},
