@@ -77,6 +77,7 @@ void Allocator::reserve(std::size_t flows) {
   key_to_slot_.reserve(flows);
   slot_to_key_.reserve(flows);
   last_notified_.reserve(flows);
+  emit_sel_.reserve(flows);
 }
 
 bool Allocator::flowlet_start(std::uint64_t key,
@@ -99,9 +100,11 @@ bool Allocator::flowlet_start(std::uint64_t key,
           std::max<std::size_t>(want, slot_to_key_.capacity() * 2);
       slot_to_key_.reserve(cap);
       last_notified_.reserve(cap);
+      emit_sel_.reserve(cap);
     }
     slot_to_key_.resize(want, 0);
     last_notified_.resize(want, -1.0);
+    emit_sel_.resize(want, 0);
   }
   slot_to_key_[slot] = key;
   last_notified_[slot] = -1.0;
@@ -140,47 +143,70 @@ void Allocator::run_iteration(std::vector<RateUpdate>& out) {
 
   const std::span<const double> norm_rates = backend_->norm_rates();
   const std::size_t slots = problem_.num_slots();
+  FT_CHECK(norm_rates.size() >= slots && emit_sel_.size() >= slots);
+  const double* rate = norm_rates.data();
+  const double* last = last_notified_.data();
   const std::uint8_t* len = problem_.route_len().data();
-  // One up-front re-reserve covers the worst case (every active flow
-  // notified) so the emission loop never reallocates mid-round; with a
-  // recycled `out` this is a steady-state no-op.
-  out.reserve(out.size() + problem_.num_active());
-  // Per-update counts accumulate locally and hit the striped counters
-  // once per round: the 100k-flow emission sweep stays atomics-free.
-  std::uint64_t emitted = 0;
-  std::uint64_t suppressed = 0;
-  std::uint64_t refreshed = 0;
+  // Notify when the rate moved by more than the threshold relative to
+  // the last notified value (both directions), or on first allocation
+  // (last < 0). Bitwise ops, not ||: the sweep stays branch-free.
+  const double up = 1.0 + cfg_.threshold;
+  const double down = 1.0 - cfg_.threshold;
+  const auto organic = [rate, last, up, down](std::size_t s) {
+    return (last[s] < 0.0) | (rate[s] > last[s] * up) |
+           (rate[s] < last[s] * down);
+  };
+  // Pass 1 selects the slots to notify, in slot order, into emit_sel_:
+  // each slot's index is written unconditionally and kept by advancing
+  // the cursor by the predicate. Free slots hold last < 0, so the
+  // route-length mask is what keeps them out.
+  //
+  // Anti-entropy: slot s's staggered turn to be re-emitted past the
+  // filter comes on rounds where (round + s) % N == 0 (see
+  // AllocatorConfig::refresh_rounds), so this round's turns are the
+  // progression s = (N - round % N) % N, +N, ... The plain stretches
+  // between turns run the organic test alone.
   const std::uint64_t round = ++round_seq_;
-  const auto refresh_n = static_cast<std::uint64_t>(
+  const auto refresh_n = static_cast<std::size_t>(
       cfg_.refresh_rounds > 0 ? cfg_.refresh_rounds : 0);
-  for (std::size_t s = 0; s < slots; ++s) {
-    if (len[s] == 0) continue;
-    const double rate = norm_rates[s];
-    const double last = last_notified_[s];
-    const bool first = last < 0.0;
-    // Notify when the rate moved by more than the threshold relative to
-    // the last notified value (both directions), or on first allocation.
-    const bool organic =
-        first || rate > last * (1.0 + cfg_.threshold) ||
-        rate < last * (1.0 - cfg_.threshold);
-    // Anti-entropy: this slot's staggered turn to be re-emitted past
-    // the filter, repairing any update the delivery layer lost (see
-    // AllocatorConfig::refresh_rounds).
-    const bool refresh =
-        !organic && refresh_n != 0 && (round + s) % refresh_n == 0;
-    if (!organic && !refresh) {
-      ++suppressed;
-      continue;
+  std::size_t turn =
+      refresh_n != 0 ? (refresh_n - round % refresh_n) % refresh_n : slots;
+  std::uint32_t* sel = emit_sel_.data();
+  std::size_t n = 0;
+  std::uint64_t refreshed = 0;
+  std::size_t s = 0;
+  while (true) {
+    for (const std::size_t stop = std::min(turn, slots); s < stop; ++s) {
+      sel[n] = static_cast<std::uint32_t>(s);
+      n += organic(s) & (len[s] != 0);
     }
+    if (s == slots) break;
+    // s == turn: every active slot goes out; count the ones the filter
+    // alone would have suppressed.
+    const bool active = len[s] != 0;
+    refreshed += active & !organic(s);
+    sel[n] = static_cast<std::uint32_t>(s);
+    n += active;
+    ++s;
+    turn += refresh_n;
+  }
+  // Pass 2 encodes the selected slots. One up-front re-reserve covers
+  // them all, so the loop never reallocates mid-round; with a recycled
+  // `out` this is a steady-state no-op.
+  out.reserve(out.size() + problem_.num_active());
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t slot = sel[i];
     RateUpdate u;
-    u.key = slot_to_key_[s];
-    u.rate_code = encode_rate(rate);
+    u.key = slot_to_key_[slot];
+    u.rate_code = encode_rate(rate[slot]);
     u.rate_bps = decode_rate(u.rate_code);
     out.push_back(u);
-    last_notified_[s] = u.rate_bps;
-    ++emitted;
-    if (refresh) ++refreshed;
+    last_notified_[slot] = u.rate_bps;
   }
+  // Per-update counts hit the striped counters once per round: the
+  // 100k-flow emission sweep stays atomics-free.
+  const std::uint64_t emitted = n;
+  const std::uint64_t suppressed = problem_.num_active() - n;
   const std::int64_t t2 = obs::now_ns();
   m_->emit_us.record_signed((t2 - t1) / 1000);
   m_->updates_emitted.add(emitted);

@@ -118,11 +118,10 @@ class Allocator {
   // re-reserve up front rather than reallocating mid-round.
   void run_iteration(std::vector<RateUpdate>& out);
 
-  // Pre-sizes every per-flow structure (problem SoA arrays incl. the
-  // per-link adjacency's uniform-average share, key map, notification
-  // state) for `flows` concurrent flowlets. Churn up to that size then
-  // allocates nothing, except that a link loaded beyond the uniform
-  // average grows its adjacency list to its own peak once.
+  // Pre-sizes every per-flow structure (problem SoA arrays, key map,
+  // notification state, emission scratch) for `flows` concurrent
+  // flowlets. Churn up to that size then allocates nothing, however the
+  // flows spread over the links.
   void reserve(std::size_t flows);
 
   // Marks a flow as never-notified so the next run_iteration re-emits
@@ -177,6 +176,10 @@ class Allocator {
   FlatMap64<FlowIndex> key_to_slot_;
   std::vector<std::uint64_t> slot_to_key_;
   std::vector<double> last_notified_;  // per slot; <0 = never notified
+  // Per slot: the emission sweep's selected slot indices (run_iteration
+  // writes one entry per slot before keeping it, so this is sized with
+  // slot_to_key_, never inside a round).
+  std::vector<std::uint32_t> emit_sel_;
   std::uint64_t round_seq_ = 0;        // run_iteration count (refresh stagger)
   RoundStamps stamps_;
 };

@@ -8,9 +8,9 @@
 // parallel arrays (route lengths, flattened routes, utility parameters,
 // demand-bound floors) instead of chasing per-flow objects -- the §6.1
 // requirement that the allocator's inner loop stay cache-resident.
-// A CSR-style link->flow adjacency (per-link contiguous entry lists,
-// incrementally maintained on churn) lets capacity changes and analyses
-// touch exactly the flows on a link.
+// Churn touches only the flow's own slot. A capacity change
+// (set_capacity, the cold §7 path) finds the flows on its link with one
+// pass over the slot arrays.
 //
 // The old object-per-flow accessors survive as thin views (FlowView) so
 // cold paths -- backend grid assignment, exact solvers, tests -- migrate
@@ -79,6 +79,7 @@ class FlowView {
  public:
   [[nodiscard]] bool active() const;
   [[nodiscard]] std::span<const std::uint32_t> route() const;
+  // The route's bottleneck capacity, computed on each call.
   [[nodiscard]] double rate_cap() const;
   [[nodiscard]] double price_floor() const;
   [[nodiscard]] Utility util() const;
@@ -113,8 +114,9 @@ class NumProblem {
 
   // Adjusts one link's capacity at runtime (§7 closed loop: "dynamically
   // adjust link capacities ... for external traffic"). Refreshes the
-  // demand bounds of exactly the flows traversing the link (via the
-  // link->flow adjacency).
+  // demand bounds of exactly the active flows whose route holds the
+  // link, in one pass over the slot arrays: O(slots), so a caller that
+  // changes many links should expect one pass per call.
   void set_capacity(std::size_t link, double capacity_bps);
 
   FlowIndex add_flow(std::span<const LinkId> route, Utility util);
@@ -146,27 +148,6 @@ class NumProblem {
   [[nodiscard]] std::span<const double> price_floor() const {
     return price_floor_;
   }
-  [[nodiscard]] std::span<const double> rate_cap() const {
-    return rate_cap_;
-  }
-
-  // --- Link->flow adjacency (CSR-style per-link contiguous lists,
-  // swap-remove maintained on churn). Entries pack the flow slot with the
-  // link's position in that flow's route.
-  [[nodiscard]] std::span<const std::uint32_t> link_flows(
-      std::size_t link) const {
-    FT_CHECK(link < link_flows_.size());
-    return link_flows_[link];
-  }
-  // Entries pack the route position into the low 3 bits.
-  static_assert(kMaxRouteLinks <= 8,
-                "adjacency entries pack the route index into 3 bits");
-  [[nodiscard]] static FlowIndex adj_slot(std::uint32_t entry) {
-    return entry >> 3;
-  }
-  [[nodiscard]] static std::uint32_t adj_route_idx(std::uint32_t entry) {
-    return entry & 7u;
-  }
 
   // Monotone counter bumped on every add/remove; lets solvers detect
   // churn (e.g. to reset momentum state).
@@ -180,8 +161,10 @@ class NumProblem {
  private:
   friend class FlowView;
 
-  // Recomputes rate_cap_/price_floor_ for one active slot from current
-  // capacities (same arithmetic as add_flow).
+  // Smallest capacity along an active slot's route.
+  [[nodiscard]] double route_cap(FlowIndex s) const;
+  // Recomputes price_floor_ for one active slot from current capacities
+  // (same arithmetic as add_flow).
   void refresh_demand_bound(FlowIndex s);
 
   std::vector<double> capacity_;
@@ -192,12 +175,6 @@ class NumProblem {
   std::vector<double> weight_;
   std::vector<double> alpha_;                // 0 == fixed demand
   std::vector<double> price_floor_;          // P_eff floor (demand bound)
-  std::vector<double> rate_cap_;             // min capacity along route
-  // Position of slot s's i-th route link inside link_flows_ (for O(1)
-  // swap-remove), stride kMaxRouteLinks like route_links_.
-  std::vector<std::uint32_t> adj_pos_;
-
-  std::vector<std::vector<std::uint32_t>> link_flows_;  // per link
   std::vector<FlowIndex> free_list_;
   std::size_t num_active_ = 0;
   std::uint64_t version_ = 0;
@@ -211,7 +188,7 @@ inline std::span<const std::uint32_t> FlowView::route() const {
   return {p_->route_links_.data() + s_ * kMaxRouteLinks,
           p_->route_len_[s_]};
 }
-inline double FlowView::rate_cap() const { return p_->rate_cap_[s_]; }
+inline double FlowView::rate_cap() const { return p_->route_cap(s_); }
 inline double FlowView::price_floor() const {
   return p_->price_floor_[s_];
 }

@@ -3,6 +3,8 @@
 // allocation behaviour on the paper's topology.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
 #include <vector>
 
 #include "common/ratecode.h"
@@ -186,6 +188,68 @@ TEST_F(AllocatorTest, StatsAreConsistent) {
   EXPECT_EQ(st.flowlet_ends, 1u);
   EXPECT_EQ(st.iterations, 10u);
   EXPECT_EQ(st.updates_emitted, updates.size());
+}
+
+TEST(AllocatorRefreshTest, ConvergedFlowsRefreshOncePerWindow) {
+  // Anti-entropy with refresh_rounds = N on a converged allocator: the
+  // threshold filter suppresses every organic update, so each emission
+  // is a refresh, each active key goes out exactly once in any N
+  // consecutive rounds, and the free slots of ended keys never go out.
+  constexpr int kN = 7;
+  topo::ClosConfig cfg;
+  cfg.racks = 4;
+  cfg.servers_per_rack = 4;
+  cfg.spines = 2;
+  cfg.fabric_link_bps = 20e9;
+  topo::ClosTopology clos(cfg);
+  AllocatorConfig acfg;
+  acfg.refresh_rounds = kN;
+  Allocator alloc(clos.graph().capacities(), acfg);
+  Rng rng(5);
+  const int hosts = clos.num_hosts();
+  for (std::uint64_t key = 1; key <= 30; ++key) {
+    const auto src = static_cast<int>(rng.below(hosts));
+    auto dst = static_cast<int>(rng.below(hosts - 1));
+    if (dst >= src) ++dst;
+    const auto p = clos.host_path(clos.host(src), clos.host(dst), key);
+    ASSERT_TRUE(alloc.flowlet_start(key, to_vec(p)));
+  }
+  std::vector<RateUpdate> out;
+  for (int i = 0; i < 300; ++i) alloc.run_iteration(out);
+  const std::set<std::uint64_t> ended = {3, 11, 12, 27};
+  for (const std::uint64_t key : ended) ASSERT_TRUE(alloc.flowlet_end(key));
+
+  // One round; true when every emission was a refresh.
+  const auto round = [&] {
+    const AllocatorStats before = alloc.stats();
+    out.clear();
+    alloc.run_iteration(out);
+    const AllocatorStats after = alloc.stats();
+    const std::uint64_t emitted =
+        after.updates_emitted - before.updates_emitted;
+    EXPECT_EQ(emitted, out.size());
+    EXPECT_EQ(emitted + after.updates_suppressed - before.updates_suppressed,
+              alloc.num_active_flowlets());
+    for (const RateUpdate& u : out) {
+      EXPECT_FALSE(ended.contains(u.key)) << "ended key " << u.key;
+    }
+    return after.updates_refreshed - before.updates_refreshed == emitted;
+  };
+  int quiet = 0;  // consecutive refresh-only rounds
+  for (int i = 0; i < 2000 && quiet < kN; ++i) quiet = round() ? quiet + 1 : 0;
+  ASSERT_EQ(quiet, kN) << "allocator never re-converged";
+
+  std::map<std::uint64_t, std::vector<int>> emitted_at;
+  for (int r = 0; r < 3 * kN; ++r) {
+    EXPECT_TRUE(round()) << "organic update in round " << r;
+    for (const RateUpdate& u : out) emitted_at[u.key].push_back(r);
+  }
+  EXPECT_EQ(emitted_at.size(), alloc.num_active_flowlets());
+  for (const auto& [key, rounds] : emitted_at) {
+    ASSERT_EQ(rounds.size(), 3u) << "key " << key;
+    EXPECT_EQ(rounds[1] - rounds[0], kN) << "key " << key;
+    EXPECT_EQ(rounds[2] - rounds[1], kN) << "key " << key;
+  }
 }
 
 TEST(AllocatorThresholdTest, HigherThresholdEmitsFewerUpdates) {
@@ -404,10 +468,11 @@ TEST(AllocatorBackendTest, MultiIterationRoundsMatch) {
 TEST(AllocatorBackendTest, RuntimeCapacityChangesMatchUnderParallel) {
   // §7 closed loop under the multicore backend: set_link_capacity at
   // runtime must keep sequential and parallel allocations equivalent --
-  // the SoA demand-bound refresh walks the link->flow adjacency. The
-  // parallel engine reads capacities straight from the shared problem
-  // but keeps band-local copies of the demand floors, which it re-reads
-  // when NumProblem::capacity_version() moves; a stale copy fails here.
+  // the SoA demand-bound refresh passes over every slot whose route
+  // holds the link. The parallel engine reads capacities straight from
+  // the shared problem but keeps band-local copies of the demand
+  // floors, which it re-reads when NumProblem::capacity_version()
+  // moves; a stale copy fails here.
   AllocatorConfig acfg;
   acfg.threshold = 0.0;  // every change notified: strictest comparison
   BackendPair pair(4, 4, acfg);

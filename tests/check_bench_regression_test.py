@@ -39,6 +39,18 @@ NET = {
     "run": {"git_sha": "0", "hardware_concurrency": 1},
     "msgs_per_sec": 1.0e6,
     "e2e_p99_us": 100.0,
+    "recovery": {
+        "reconnect_p99_us": 5000.0,
+        "lease": {
+            "drop_frac": 0.6,
+            "sim_lease_frames_down": 400,
+            "sim_lease_frames_dropped": 241,
+            "sim_lease_expiries": 14,
+            "sim_lease_fallback_enters": 8,
+            "sim_lease_degraded_frac": 0.0675,
+            "reclaim_us": 1000.0,
+        },
+    },
 }
 NED_MICRO = {
     "run": {"git_sha": "0", "hardware_concurrency": 1},
@@ -59,6 +71,13 @@ def with_cost(doc, value):
         del row["cost.par.barriers_per_iter"]
     else:
         row["cost.par.barriers_per_iter"] = value
+    return out
+
+
+def with_lease(**counts):
+    """NET with the nested recovery.lease counts overridden."""
+    out = json.loads(json.dumps(NET))
+    out["recovery"]["lease"].update(counts)
     return out
 
 
@@ -114,6 +133,19 @@ class CheckerGateTest(unittest.TestCase):
     def test_sim_metric_drift_fails_at_4_threads(self):
         fresh = dict(SIM_SCALE, sim_rounds_to_converge=200)
         self.assertEqual(self.run_checker({"BENCH_sim_scale.json": fresh}), 1)
+
+    def test_nested_lease_drift_fails_at_4_threads(self):
+        # The lease drill runs on virtual time, so its sim_lease_* counts
+        # gate even nested under recovery.lease and below 8 threads.
+        self.assertEqual(
+            self.run_checker({"BENCH_net_throughput.json": NET}), 0)
+        for drift in ({"sim_lease_expiries": 20},
+                      {"sim_lease_frames_dropped": 300},
+                      {"sim_lease_degraded_frac": 0.09}):
+            self.assertEqual(
+                self.run_checker(
+                    {"BENCH_net_throughput.json": with_lease(**drift)}),
+                1, f"drift {drift}")
 
     def test_new_violation_fails_at_4_threads(self):
         fresh = dict(CHAOS, sim_chaos_violations=1)

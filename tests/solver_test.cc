@@ -4,6 +4,7 @@
 // robustness claim, and RT-vs-reference agreement.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -404,50 +405,63 @@ TEST(ProblemTest, VersionBumpsOnChurn) {
 }
 
 
-TEST(ProblemTest, LinkFlowAdjacencyTracksChurn) {
-  // The CSR-style link->flow adjacency must stay exact under add/remove
-  // with slot recycling: each link lists exactly the active flows
-  // traversing it, with correct route positions.
-  NumProblem p({1e9, 2e9, 3e9});
+TEST(ProblemTest, SetCapacityAfterChurnMatchesRebuiltProblem) {
+  // Churn with slot recycling, interleaved with capacity changes: every
+  // active slot's demand bound and rate cap must equal those of a
+  // problem built fresh from the live routes at the current capacities.
+  std::vector<double> caps = {1e9, 2e9, 3e9, 4e9, 5e9, 6e9};
+  NumProblem p(caps);
+  Rng rng(3);
+  std::vector<FlowIndex> live;
+  int recycled = 0;
+  int checks = 0;
   const auto check = [&] {
-    for (std::size_t l = 0; l < p.num_links(); ++l) {
-      for (const std::uint32_t e : p.link_flows(l)) {
-        const FlowIndex s = NumProblem::adj_slot(e);
-        const std::uint32_t i = NumProblem::adj_route_idx(e);
-        ASSERT_TRUE(p.flow(s).active());
-        ASSERT_LT(i, p.flow(s).route().size());
-        EXPECT_EQ(p.flow(s).route()[i], l);
-      }
-    }
-    // Every active flow's links appear exactly once.
+    ++checks;
+    NumProblem fresh(caps);
     for (FlowIndex s = 0; s < p.num_slots(); ++s) {
       if (!p.flow(s).active()) continue;
-      for (std::uint32_t l : p.flow(s).route()) {
-        int hits = 0;
-        for (const std::uint32_t e : p.link_flows(l)) {
-          if (NumProblem::adj_slot(e) == s) ++hits;
-        }
-        EXPECT_EQ(hits, 1) << "slot " << s << " link " << l;
-      }
+      const auto r = p.flow(s).route();
+      std::vector<LinkId> links(r.begin(), r.end());
+      const FlowIndex f = fresh.add_flow(links, p.flow(s).util());
+      EXPECT_EQ(p.flow(s).price_floor(), fresh.flow(f).price_floor())
+          << "slot " << s;
+      EXPECT_EQ(p.flow(s).rate_cap(), fresh.flow(f).rate_cap())
+          << "slot " << s;
     }
+    EXPECT_EQ(fresh.num_active(), p.num_active());
   };
-  const FlowIndex a = p.add_flow(route({0, 1}), {});
-  const FlowIndex b = p.add_flow(route({1, 2}), {});
-  const FlowIndex c = p.add_flow(route({0, 2}), {});
-  check();
-  EXPECT_EQ(p.link_flows(1).size(), 2u);
-  p.remove_flow(b);
-  check();
-  EXPECT_EQ(p.link_flows(1).size(), 1u);
-  const FlowIndex d = p.add_flow(route({1}), {});  // recycles b's slot
-  EXPECT_EQ(d, b);
-  check();
-  p.remove_flow(a);
-  p.remove_flow(c);
-  p.remove_flow(d);
-  for (std::size_t l = 0; l < p.num_links(); ++l) {
-    EXPECT_TRUE(p.link_flows(l).empty());
+  for (int step = 0; step < 600; ++step) {
+    if (!live.empty() && rng.uniform() < 0.45) {
+      const auto i = rng.below(live.size());
+      p.remove_flow(live[i]);
+      live[i] = live.back();
+      live.pop_back();
+    } else {
+      // 1-4 distinct links; log, alpha = 2 and fixed-demand utilities.
+      std::vector<LinkId> r;
+      const auto hops = 1 + rng.below(4);
+      while (r.size() < hops) {
+        const LinkId l(static_cast<std::uint32_t>(rng.below(caps.size())));
+        if (std::find(r.begin(), r.end(), l) == r.end()) r.push_back(l);
+      }
+      const auto kind = rng.below(3);
+      const Utility u = kind == 0   ? Utility::log_utility(1e9 + step)
+                        : kind == 1 ? Utility::alpha_fair(2.0)
+                                    : Utility::fixed_demand(1e8);
+      const std::size_t slots_before = p.num_slots();
+      live.push_back(p.add_flow(r, u));
+      if (live.back() < slots_before) ++recycled;
+    }
+    if (step % 40 == 39) {
+      const auto l = rng.below(caps.size());
+      caps[l] = static_cast<double>(1 + rng.below(8)) * 1e9;
+      p.set_capacity(l, caps[l]);
+      check();
+    }
   }
+  EXPECT_EQ(checks, 15);
+  EXPECT_GT(recycled, 0);
+  EXPECT_LT(p.num_active(), p.num_slots());  // free slots were skipped
 }
 
 TEST(ProblemTest, SetCapacityRefreshesOnlyFlowsOnLink) {

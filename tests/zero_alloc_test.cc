@@ -239,8 +239,9 @@ TEST(ZeroAllocTest, FrameWriterSteadyStateBatchesAreAllocationFree) {
 }
 
 // Heap allocations during one start+end pass over 512 routes after a
-// warm pass over the same routes (so per-link adjacency lists, and any
-// backend per-FlowBlock arrays, have reached their steady capacity).
+// warm pass over the same routes. The sequential allocator needs no warm
+// pass (see ReserveCoversSkewedChurnWithoutWarmup); the parallel
+// backend's per-FlowBlock arrays grow to each block's own peak once.
 std::uint64_t allocations_during_warm_churn(Allocator& alloc,
                                             const topo::ClosTopology& clos) {
   alloc.reserve(1024);
@@ -256,7 +257,8 @@ std::uint64_t allocations_during_warm_churn(Allocator& alloc,
                                   static_cast<std::uint64_t>(i));
     routes.emplace_back(p.begin(), p.end());
   }
-  // Warm pass: adjacency vectors reach steady capacity for these routes.
+  // Warm pass: per-FlowBlock arrays reach steady capacity for these
+  // routes.
   for (std::size_t i = 0; i < routes.size(); ++i) {
     EXPECT_TRUE(alloc.flowlet_start(1000 + i, routes[i]));
   }
@@ -274,12 +276,38 @@ std::uint64_t allocations_during_warm_churn(Allocator& alloc,
 }
 
 TEST(ZeroAllocTest, ReserveMakesChurnAllocationFree) {
-  // Allocator::reserve pre-sizes the problem SoA arrays, key map and
-  // notification state: flowlet churn below the reserved size performs
-  // no allocation at all once the per-link adjacency lists are warm.
+  // Allocator::reserve pre-sizes the problem SoA arrays, key map,
+  // notification state and emission scratch: flowlet churn below the
+  // reserved size performs no allocation at all.
   const auto clos = small_clos();
   Allocator alloc(clos.graph().capacities(), AllocatorConfig{});
   EXPECT_EQ(allocations_during_warm_churn(alloc, clos), 0u);
+}
+
+TEST(ZeroAllocTest, ReserveCoversSkewedChurnWithoutWarmup) {
+  // Per-flow state lives in slot arrays only, so reserve() bounds churn
+  // however the flows spread over links: 512 flows that all leave host 0
+  // (its uplink carries every one of them) start and end without a
+  // single allocation, with no warm pass first.
+  const auto clos = small_clos();
+  Allocator alloc(clos.graph().capacities(), AllocatorConfig{});
+  alloc.reserve(1024);
+  const int hosts = clos.num_hosts();
+  std::vector<std::vector<LinkId>> routes;
+  for (int i = 0; i < 512; ++i) {
+    const int dst = 1 + i % (hosts - 1);
+    const auto p = clos.host_path(clos.host(0), clos.host(dst),
+                                  static_cast<std::uint64_t>(i));
+    routes.emplace_back(p.begin(), p.end());
+  }
+  const std::uint64_t before = g_news.load(std::memory_order_relaxed);
+  for (std::size_t i = 0; i < routes.size(); ++i) {
+    EXPECT_TRUE(alloc.flowlet_start(1000 + i, routes[i]));
+  }
+  for (std::size_t i = 0; i < routes.size(); ++i) {
+    EXPECT_TRUE(alloc.flowlet_end(1000 + i));
+  }
+  EXPECT_EQ(g_news.load(std::memory_order_relaxed) - before, 0u);
 }
 
 TEST(ZeroAllocTest, ReserveMakesParallelChurnAllocationFree) {

@@ -243,11 +243,12 @@ def print_recovery(rec):
     elif lease:
         print(f"  lease drill ({lease.get('drop_frac', 0) * 100:.0f}% "
               f"downstream frames dropped): "
-              f"{lease.get('frames_dropped', 0):,}/"
-              f"{lease.get('frames_down', 0):,} frames lost, "
-              f"{lease.get('lease_expiries', 0):,} lease expiries, "
-              f"{lease.get('fallback_enters', 0):,} flows to fallback, "
-              f"degraded {lease.get('degraded_frac', 0) * 100:.1f}%, "
+              f"{lease.get('sim_lease_frames_dropped', 0):,}/"
+              f"{lease.get('sim_lease_frames_down', 0):,} frames lost, "
+              f"{lease.get('sim_lease_expiries', 0):,} lease expiries, "
+              f"{lease.get('sim_lease_fallback_enters', 0):,} flows to "
+              f"fallback, degraded "
+              f"{lease.get('sim_lease_degraded_frac', 0) * 100:.1f}%, "
               f"re-armed {lease.get('reclaim_us', 0):,.0f} us after "
               f"drops stopped")
 
