@@ -2,12 +2,12 @@
 // AllocatorService plus N real EndpointAgents -- run to convergence at
 // 10k endpoints inside a single process on sim::SimTransport.
 //
-// Reports rounds / virtual time to convergence and the per-endpoint
+// Reports rounds / virtual time to convergence, the per-endpoint
 // update-message overhead (the Fig 5 metric, here at a scale the
-// loopback benches cannot reach), plus the virtual-over-wall speedup
-// that makes the exercise worthwhile. The bench runs the same seed
-// twice and hard-fails on any trajectory divergence: determinism is an
-// acceptance criterion, not a best effort.
+// loopback benches cannot reach), the agent polls the harness ran, and
+// the virtual-over-wall speedup that makes the exercise worthwhile. The
+// bench runs the same seed twice and hard-fails on any trajectory
+// divergence: determinism is an acceptance criterion, not a best effort.
 //
 // Every sim_* metric in BENCH_sim_scale.json is a deterministic
 // function of (seed, config) -- identical on every machine -- so the
@@ -104,6 +104,11 @@ int main(int argc, char** argv) {
   t.print();
   std::printf("trajectory hash %016llx (two runs identical)\n",
               static_cast<unsigned long long>(st.trajectory_hash));
+  std::printf("agent polls %llu (%.0f per round, of %lld agents)\n",
+              static_cast<unsigned long long>(st.agent_polls),
+              static_cast<double>(st.agent_polls) /
+                  static_cast<double>(st.rounds),
+              static_cast<long long>(endpoints));
 
   bench::Json j;
   j.add_run_metadata();
@@ -119,6 +124,9 @@ int main(int argc, char** argv) {
   j.set("sim_updates_sent", st.updates_sent);
   j.set("sim_update_msgs_per_endpoint", updates_per_endpoint);
   j.set("sim_events_processed", st.events_processed);
+  // The poll sweep skips agents with no news and no timer due; a return
+  // to polling every agent shows here first.
+  j.set("sim_agent_polls", st.agent_polls);
   j.set("virtual_over_wall_speedup", virtual_sec / wall);
   j.set("wall_elapsed_sec", wall);
   if (!j.write_file(out)) return 1;

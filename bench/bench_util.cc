@@ -256,17 +256,35 @@ std::string Json::dump(int indent) const {
 
 namespace {
 
-std::string git_sha() {
-  if (std::FILE* p = ::popen("git rev-parse --short=12 HEAD 2>/dev/null",
-                             "r")) {
+// The first bytes of a shell command's stdout, trailing newlines
+// stripped; "" if it printed nothing or could not run.
+std::string command_output(const char* cmd) {
+  std::string out;
+  if (std::FILE* p = ::popen(cmd, "r")) {
     char buf[64] = {};
     const std::size_t n = std::fread(buf, 1, sizeof buf - 1, p);
     ::pclose(p);
-    std::string sha(buf, n);
-    while (!sha.empty() && (sha.back() == '\n' || sha.back() == '\r')) {
-      sha.pop_back();
+    out.assign(buf, n);
+  }
+  while (!out.empty() && (out.back() == '\n' || out.back() == '\r')) {
+    out.pop_back();
+  }
+  return out;
+}
+
+// HEAD of the working directory's checkout, with "-dirty" when tracked
+// files differ from it: a run of uncommitted code must not pass for a
+// run of the commit.
+std::string git_sha() {
+  std::string sha =
+      command_output("git rev-parse --short=12 HEAD 2>/dev/null");
+  if (!sha.empty()) {
+    if (!command_output(
+             "git status --porcelain --untracked-files=no 2>/dev/null")
+             .empty()) {
+      sha += "-dirty";
     }
-    if (!sha.empty()) return sha;
+    return sha;
   }
   for (const char* env : {"GITHUB_SHA", "GIT_SHA"}) {
     if (const char* v = std::getenv(env); v != nullptr && *v != '\0') {

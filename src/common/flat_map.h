@@ -8,7 +8,9 @@
 //
 // Not a general-purpose container: keys are expected to be well mixed by
 // the splitmix64 finalizer (wire-level flow keys are), values are copied
-// by value, and iteration order is unspecified.
+// by value, and for_each visits entries in slot order (set by the hash
+// and the insert/erase history, not by insertion order), so keep it off
+// any path whose order feeds an output that must replay.
 #pragma once
 
 #include <algorithm>
@@ -71,6 +73,15 @@ class FlatMap64 {
     slots_[i].value = value;
     ++size_;
     return true;
+  }
+
+  // Calls f(key, value) once per entry, in slot order. f must not
+  // insert or erase.
+  template <typename F>
+  void for_each(F&& f) const {
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+      if (used_[i]) f(slots_[i].key, slots_[i].value);
+    }
   }
 
   // Drops every entry but keeps the slot array: a cleared map re-fills

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <limits>
 
 #include "common/check.h"
 #include "common/ratecode.h"
@@ -380,9 +381,12 @@ bool EndpointAgent::flowlet_start(std::uint32_t key, std::uint16_t src,
                                   std::uint32_t size_hint_bytes,
                                   std::uint16_t weight_milli) {
   if (flows_.contains(key)) return false;
-  flows_.emplace(key,
-                 FlowletState{0.0, 0, src, dst, weight_milli,
-                              m_ != nullptr ? clock_->now_us() : 0});
+  const std::int64_t now = clock_->now_us();
+  flows_.emplace(key, FlowletState{.src = src,
+                                   .dst = dst,
+                                   .weight_milli = weight_milli,
+                                   .start_us = m_ != nullptr ? now : 0,
+                                   .registered_us = now});
   const std::uint16_t flags = next_start_flags();
   writer_.add(core::FlowletStartMsg{key, src, dst, size_hint_bytes,
                                     weight_milli, flags});
@@ -445,9 +449,12 @@ void EndpointAgent::detected_start(const flowlet::PacketRecord& p) {
       s != nullptr && s->user_tag != 0) {
     weight = s->user_tag;
   }
-  flows_.emplace(p.flow_key,
-                 FlowletState{0.0, 0, p.src_host, p.dst_host, weight,
-                              m_ != nullptr ? clock_->now_us() : 0});
+  const std::int64_t now = clock_->now_us();
+  flows_.emplace(p.flow_key, FlowletState{.src = p.src_host,
+                                          .dst = p.dst_host,
+                                          .weight_milli = weight,
+                                          .start_us = m_ != nullptr ? now : 0,
+                                          .registered_us = now});
   const std::uint16_t flags = next_start_flags();
   writer_.add(core::FlowletStartMsg{p.flow_key, p.src_host, p.dst_host,
                                     0, weight, flags});
@@ -627,6 +634,12 @@ bool EndpointAgent::try_write() {
   return true;
 }
 
+bool EndpointAgent::registration_unacked(const FlowletState& st) const {
+  return st.ack_conn_gen != conn_gen_ ||
+         (cfg_.epoch_filtering && epoch_seen_ &&
+          st.rate_epoch != observed_epoch_);
+}
+
 void EndpointAgent::flush() {
   if (fd_ < 0) {
     // Disconnected: nothing will ever be sent; drop instead of letting
@@ -710,21 +723,21 @@ bool EndpointAgent::poll() {
     ++stats_.heartbeats_sent;
   }
   // Registration refresh: flowlet registration is soft state. If any
-  // flow has never been acked by a rate update on this connection (a
-  // replay died in a fault window), or still holds a rate from an
-  // older allocator epoch than the newest observed (a warm-restart
-  // replay died the same way), re-send the full registration; the
-  // service answers a duplicate start from the owning connection by
-  // re-arming that flow's notification. Without this, a black hole
-  // overlapping a reconnect or restart strands the plane forever --
-  // the chaos campaign's very first find.
+  // flow registered a full period ago has never been acked by a rate
+  // update on this connection (a replay died in a fault window), or
+  // still holds a rate from an older allocator epoch than the newest
+  // observed (a warm-restart replay died the same way), re-send the
+  // full registration; the service answers a duplicate start from the
+  // owning connection by re-arming that flow's notification. Without
+  // this, a black hole overlapping a reconnect or restart strands the
+  // plane forever -- the chaos campaign's very first find. A flow
+  // younger than the period is only waiting for its first rate.
   if (state_ == ConnState::kConnected &&
       now - last_replay_us_ >= kReregisterPeriodUs) {
     bool unacked = false;
     for (const auto& [key, st] : flows_) {
-      if (st.ack_conn_gen != conn_gen_ ||
-          (cfg_.epoch_filtering && epoch_seen_ &&
-           st.rate_epoch != observed_epoch_)) {
+      if (registration_unacked(st) &&
+          now - st.registered_us >= kReregisterPeriodUs) {
         unacked = true;
         break;
       }
@@ -747,6 +760,45 @@ bool EndpointAgent::poll() {
   }
   now_cache_us_ = 0;
   return fd_ >= 0 || state_ == ConnState::kReconnecting;
+}
+
+// Mirrors poll() branch by branch: each deadline is the first clock
+// time at which that branch's comparison holds. Edit the two together.
+std::int64_t EndpointAgent::next_poll_us() const {
+  constexpr std::int64_t kNever = std::numeric_limits<std::int64_t>::max();
+  if (fd_ < 0) {
+    if (state_ != ConnState::kReconnecting) return kNever;
+    if (detector_) return 0;
+    return flows_.empty() ? next_attempt_us_
+                          : std::min(next_attempt_us_, next_decay_us_);
+  }
+  if (detector_ || m_ != nullptr || !writer_.empty() ||
+      out_off_ < outbox_.size()) {
+    return 0;
+  }
+  std::int64_t t = kNever;
+  if (cfg_.peer_timeout_us > 0 && last_rx_us_ != 0) {
+    t = std::min(t, last_rx_us_ + cfg_.peer_timeout_us + 1);  // poll: >
+  }
+  if (state_ == ConnState::kConnected && lease_deadline_us_ != 0 &&
+      cfg_.lease_enforcement) {
+    t = std::min(t, lease_deadline_us_ + 1);  // poll: >
+  }
+  if (state_ == ConnState::kDegraded && !flows_.empty()) {
+    t = std::min(t, next_decay_us_);
+  }
+  if (cfg_.heartbeat_period_us > 0) {
+    t = std::min(t, last_hb_tx_us_ + cfg_.heartbeat_period_us);
+  }
+  if (state_ == ConnState::kConnected) {
+    for (const auto& [key, st] : flows_) {
+      if (registration_unacked(st)) {
+        t = std::min(t, std::max(last_replay_us_, st.registered_us) +
+                            kReregisterPeriodUs);
+      }
+    }
+  }
+  return t;
 }
 
 }  // namespace ft::net

@@ -60,13 +60,15 @@ inline constexpr std::size_t kAgentMaxOutboxBytes = 4 * 1024 * 1024;
 // a reconnect/epoch replay) can die in a fault window -- eaten by a
 // silent partition, dropped frame, or a restart race -- and nothing
 // downstream would ever retry. A rate update arriving on the current
-// connection acks the flow's registration; while kConnected, any flow
-// still unacked (or, with epoch filtering, still holding a rate from an
-// older epoch than the newest observed) this long after the last replay
-// triggers another full replay. The service treats a duplicate start
-// from the owning connection as "re-send my rate" (see
-// ServiceStats::replayed_starts), closing the loop even when the
-// original rate update was the casualty.
+// connection acks the flow's registration. While kConnected, a flow
+// counts as unacked once it has been registered this long without an
+// ack (or, with epoch filtering, still holds a rate from an older epoch
+// than the newest observed); one such flow, this long after the last
+// replay, triggers another full replay. A flow started a moment ago is
+// not yet overdue, so churn alone never replays the table. The service
+// treats a duplicate start from the owning connection as "re-send my
+// rate" (see ServiceStats::replayed_starts), closing the loop even when
+// the original rate update was the casualty.
 inline constexpr std::int64_t kReregisterPeriodUs = 250'000;
 
 struct AgentConfig {
@@ -206,6 +208,8 @@ struct AgentStats {
   // Periodic replays fired because a flow's registration was never
   // acked (no rate update on the current connection / current epoch).
   std::uint64_t registration_refreshes = 0;
+
+  friend bool operator==(const AgentStats&, const AgentStats&) = default;
 };
 
 class EndpointAgent : MessageSink {
@@ -277,8 +281,19 @@ class EndpointAgent : MessageSink {
   // lease expiry -> fallback decay, dead-peer detection, and (with
   // auto_reconnect) backed-off re-dials with flowlet replay. Returns
   // false once the connection is lost for good (never while
-  // kReconnecting).
+  // kReconnecting). Apart from what arrives on handle(), every action
+  // poll() takes is due at a clock time next_poll_us() names.
   bool poll();
+  // The earliest clock time (us) at which poll() has work that no
+  // readiness on handle() would announce: a timer due (peer timeout,
+  // lease expiry, fallback decay, heartbeat, registration refresh,
+  // reconnect attempt), or 0 when every poll has work (pending output,
+  // a detector's idle sweep, a metrics sink's poll histograms).
+  // INT64_MAX once the agent is disconnected for good. A caller that
+  // polls many agents may skip one whose handle is not readable while
+  // this lies in the future: that poll would change nothing. Valid
+  // until the next call into the agent.
+  [[nodiscard]] std::int64_t next_poll_us() const;
   // Forces the open batch onto the wire.
   void flush();
 
@@ -350,6 +365,9 @@ class EndpointAgent : MessageSink {
     // registration ack. != conn_gen_ means the current connection has
     // never confirmed this flow (see kReregisterPeriodUs).
     std::uint64_t ack_conn_gen = 0;
+    // When the application (or the detector) registered the flow; an
+    // unacked flow is overdue for refresh a full period after this.
+    std::int64_t registered_us = 0;
   };
 
   void on_rate_update(const core::RateUpdateMsg& m) override;
@@ -380,6 +398,9 @@ class EndpointAgent : MessageSink {
   void enter_degraded(std::int64_t now_us);
   void note_recovered(std::int64_t now_us);
   void run_fallback_decay(std::int64_t now_us);
+  // True while the current connection has not confirmed `st` (no rate
+  // on it yet, or one from an older epoch); see kReregisterPeriodUs.
+  [[nodiscard]] bool registration_unacked(const FlowletState& st) const;
   void drop_pending_output();
   // Detector callbacks: auto-register / auto-end flowlets.
   void detected_start(const flowlet::PacketRecord& p);

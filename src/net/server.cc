@@ -262,7 +262,7 @@ struct AllocatorService::Shard {
     std::uint64_t seq = 0;
   };
   std::unordered_map<int, std::unique_ptr<Connection>> conns;
-  std::unordered_map<std::uint32_t, Owner> key_owner;
+  FlatMap64<Owner> key_owner;
   std::uint64_t next_seq = 0;
   std::atomic<std::size_t> num_conns{0};
   std::unique_ptr<Counters> stats;  // net.shard<i>.* registry counters
@@ -403,11 +403,12 @@ AllocatorService::~AllocatorService() {
   }
   // Anything still in key_shard_ lost its flowlet-end on the way here
   // (e.g. a kEnd dropped by up() while stopping): end it so the
-  // caller-owned allocator is left clean.
-  for (const auto& [key, shard_idx] : key_shard_) {
+  // caller-owned allocator is left clean. Only ring delivery loses ends,
+  // so this walk's slot order never feeds a replayed (sim) trajectory.
+  key_shard_.for_each([this](std::uint64_t key, std::uint32_t) {
     FT_CHECK(alloc_.flowlet_end(key));
     bump(alloc_stats_->flowlet_ends);
-  }
+  });
   key_shard_.clear();
   if (iter_timer_ != 0) loop_.cancel_timer(iter_timer_);
   for (const auto& [fd, id] : accept_retry_timer_) loop_.cancel_timer(id);
@@ -557,9 +558,8 @@ void AllocatorService::handle_start(Shard& s, Connection& c,
                                     const core::FlowletStartMsg& m) {
   UpEvent ev;
   ev.key = m.flow_key;
-  const auto owner = s.key_owner.find(m.flow_key);
-  if (owner != s.key_owner.end()) {
-    if (owner->second.conn == &c) {
+  if (const Shard::Owner* owner = s.key_owner.find(m.flow_key)) {
+    if (owner->conn == &c) {
       // Registration refresh: the owning agent re-sent the start, which
       // means it never saw a rate for this flow on this connection (the
       // update died in a fault window, or the original batch raced a
@@ -593,12 +593,12 @@ void AllocatorService::handle_start(Shard& s, Connection& c,
 
 void AllocatorService::handle_end(Shard& s, Connection& c,
                                   const core::FlowletEndMsg& m) {
-  const auto it = s.key_owner.find(m.flow_key);
-  if (it == s.key_owner.end() || it->second.conn != &c) {
+  const Shard::Owner* owner = s.key_owner.find(m.flow_key);
+  if (owner == nullptr || owner->conn != &c) {
     bump(s.stats->unknown_ends);
     return;
   }
-  s.key_owner.erase(it);
+  s.key_owner.erase(m.flow_key);
   c.owned_keys.erase(m.flow_key);
   up(s, {.kind = UpEvent::Kind::kEnd, .key = m.flow_key});
 }
@@ -674,12 +674,12 @@ void AllocatorService::heartbeat_tick(Shard& s) {
 }
 
 void AllocatorService::queue_trace_echo(Shard& s, core::TraceMarkMsg mark) {
-  const auto it = s.key_owner.find(mark.flow_key);
-  if (it == s.key_owner.end()) {  // flow ended while the echo was queued
+  const Shard::Owner* owner = s.key_owner.find(mark.flow_key);
+  if (owner == nullptr) {  // flow ended while the echo was queued
     bump(*trace_drops_);
     return;
   }
-  Connection& c = *it->second.conn;
+  Connection& c = *owner->conn;
   if (c.writer.empty()) s.touched.push_back(c.fd);
   mark.t_ns[core::kHopFanoutWrite] = obs::now_ns();
   c.writer.add(mark);
@@ -691,15 +691,15 @@ void AllocatorService::queue_trace_echo(Shard& s, core::TraceMarkMsg mark) {
 
 void AllocatorService::apply_up(Shard& s, const UpEvent& ev) {
   ++round_churn_;
-  const auto it = key_shard_.find(ev.key);
+  const std::uint32_t* owner = key_shard_.find(ev.key);
   // Refresh, trace and end act only on a key this shard's start won: a
   // cross-shard duplicate was rejected, and its trace and end die with
   // it. FIFO delivery applied the kStart first.
-  const bool won = it != key_shard_.end() &&
-                   it->second == static_cast<std::uint32_t>(s.index);
+  const bool won =
+      owner != nullptr && *owner == static_cast<std::uint32_t>(s.index);
   switch (ev.kind) {
     case UpEvent::Kind::kStart:
-      apply_start(s, ev, it != key_shard_.end());
+      apply_start(s, ev, owner != nullptr);
       return;
     case UpEvent::Kind::kRefresh:
       if (won) alloc_.invalidate_notification(ev.key);
@@ -719,7 +719,7 @@ void AllocatorService::apply_up(Shard& s, const UpEvent& ev) {
         return;
       }
       FT_CHECK(alloc_.flowlet_end(ev.key));
-      key_shard_.erase(it);
+      key_shard_.erase(ev.key);
       bump(alloc_stats_->flowlet_ends);
       if (!traced_.empty()) traced_.erase(ev.key);
       return;
@@ -765,10 +765,10 @@ void AllocatorService::apply_down(Shard& s, const DownEvent& ev) {
     case DownEvent::Kind::kReject: {
       // Only cancel the exact attempt this reject answers (see
       // Shard::Owner).
-      const auto it = s.key_owner.find(ev.key);
-      if (it == s.key_owner.end() || it->second.seq != ev.seq) return;
-      it->second.conn->owned_keys.erase(ev.key);
-      s.key_owner.erase(it);
+      const Shard::Owner* owner = s.key_owner.find(ev.key);
+      if (owner == nullptr || owner->seq != ev.seq) return;
+      owner->conn->owned_keys.erase(ev.key);
+      s.key_owner.erase(ev.key);
       return;
     }
   }
@@ -882,14 +882,14 @@ void AllocatorService::drain_down(Shard& s) {
 
 void AllocatorService::queue_update(Shard& s, std::uint32_t key,
                                     std::uint16_t rate_code) {
-  const auto it = s.key_owner.find(key);
-  if (it == s.key_owner.end()) {
+  const Shard::Owner* owner = s.key_owner.find(key);
+  if (owner == nullptr) {
     // Ended or culled while the update was in the ring: it dies here,
     // so the drop must be visible to the conservation oracle.
     bump(s.stats->updates_orphaned);
     return;
   }
-  Connection& c = *it->second.conn;
+  Connection& c = *owner->conn;
   if (c.writer.empty()) s.touched.push_back(c.fd);
   c.writer.add(core::RateUpdateMsg{key, rate_code, epoch_});
   bump(s.stats->updates_sent);
@@ -970,8 +970,8 @@ void AllocatorService::run_allocation_round() {
   std::fill(touched_shards_.begin(), touched_shards_.end(), false);
   for (const core::RateUpdate& u : updates_scratch_) {
     const auto key = static_cast<std::uint32_t>(u.key);
-    const auto it = key_shard_.find(key);
-    if (it == key_shard_.end()) {
+    const std::uint32_t* owner = key_shard_.find(key);
+    if (owner == nullptr) {
       // No service flow owns the key (ended or culled since emission,
       // or registered on the allocator directly): the update dies here,
       // so the drop must be visible to the conservation oracle.
@@ -980,7 +980,7 @@ void AllocatorService::run_allocation_round() {
     }
     // Copied, not held: direct delivery is reentrant, and a flush that
     // drops a stalled peer erases its keys before down() returns.
-    const std::uint32_t i = it->second;
+    const std::uint32_t i = *owner;
     if (down(*shards_[i], {.kind = DownEvent::Kind::kRate,
                            .rate_code = u.rate_code,
                            .key = key})) {

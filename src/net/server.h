@@ -309,7 +309,7 @@ class AllocatorService {
   core::CpuMap shard_cpu_map_;  // shard index -> CPU (§6.1 co-scheduling)
   std::size_t next_shard_ = 0;  // round-robin accept assignment
   // Allocation-side view: which shard owns each live flow key.
-  std::unordered_map<std::uint32_t, std::uint32_t> key_shard_;
+  FlatMap64<std::uint32_t> key_shard_;
   // End-to-end trace contexts awaiting their echo (allocation thread).
   // A sampled flowlet_start parks its origin + ingest stamps here; the
   // first rate update emitted for the flow carries the completed mark
@@ -325,7 +325,7 @@ class AllocatorService {
   static constexpr std::size_t kMaxTraced = 512;
   FlatMap64<TraceCtx> traced_;
   // Keys inserted into traced_ since the last round; the next round
-  // stamps their pickup hop in one pass (FlatMap64 has no iteration).
+  // stamps their pickup hop without walking the whole table.
   std::vector<std::uint32_t> traced_pending_;
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;  // when cfg has none
   obs::MetricsRegistry* metrics_ = nullptr;

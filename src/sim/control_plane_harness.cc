@@ -75,14 +75,17 @@ ControlPlaneHarness::ControlPlaneHarness(HarnessConfig cfg)
         [this, i](std::uint32_t key, double /*rate_bps*/,
                   std::uint16_t code) { note_rate(i, key, code); });
   }
+  due_.resize(agents_.size());
+  for (std::size_t i = 0; i < agents_.size(); ++i) refresh(i);
 
   // Connection ramp: dials spread uniformly across connect_spread_us so
   // ten thousand SYNs do not land on one virtual instant.
   for (int i = 0; i < n; ++i) {
     const std::int64_t at_us = cfg_.connect_spread_us * i / n;
     loop_->add_timer(at_us, [this, i, dial_port] {
-      (void)agents_[static_cast<std::size_t>(i)]->connect_tcp("sim",
-                                                              dial_port);
+      const auto a = static_cast<std::size_t>(i);
+      (void)agents_[a]->connect_tcp("sim", dial_port);
+      refresh(a);
     });
   }
 
@@ -106,17 +109,42 @@ ControlPlaneHarness::ControlPlaneHarness(HarnessConfig cfg)
     const std::uint32_t hint = static_cast<std::uint32_t>(std::min<
         std::int64_t>(ev.bytes, std::numeric_limits<std::uint32_t>::max()));
     loop_->add_timer(at_us, [this, ev, key, hint] {
-      (void)agents_[static_cast<std::size_t>(ev.src_host)]->flowlet_start(
+      const auto a = static_cast<std::size_t>(ev.src_host);
+      (void)agents_[a]->flowlet_start(
           key, static_cast<std::uint16_t>(ev.src_host),
           static_cast<std::uint16_t>(ev.dst_host), hint);
+      refresh(a);
     });
   }
 
-  // Poll sweep: index order, every poll_period_us -- the virtual-time
-  // equivalent of each endpoint's poll loop, deterministic by design.
-  loop_->add_periodic(cfg_.poll_period_us, [this] {
-    for (auto& a : agents_) (void)a->poll();
-  });
+  loop_->add_periodic(cfg_.poll_period_us, [this] { sweep(); });
+}
+
+// Index order, every poll_period_us -- the virtual-time equivalent of
+// each endpoint's poll loop, deterministic by design. Skipping an
+// agent that is neither readable nor due moves no trajectory: its poll
+// would read EAGAIN, find no timer due and have nothing to flush.
+void ControlPlaneHarness::sweep() {
+  const std::int64_t now = tr_.virtual_clock().now_us();
+  for (std::size_t i = 0; i < agents_.size(); ++i) {
+    if (!due_[i].ready && due_[i].poll_at_us > now) continue;
+    (void)agents_[i]->poll();
+    ++agent_polls_;
+    refresh(i);
+  }
+}
+
+void ControlPlaneHarness::refresh(std::size_t i) {
+  const net::EndpointAgent& a = *agents_[i];
+  Due& d = due_[i];
+  d.poll_at_us = a.next_poll_us();
+  // A reconnect moved the agent to a fresh handle (handles are never
+  // reused; close() unbound the old one). The level re-check matters
+  // too: poll() stops reading at a short read, so an EOF queued behind
+  // the last bytes is only seen by the next poll.
+  const int h = a.handle();
+  d.ready = tr_.readable(h);  // false without a handle
+  if (h >= 0) tr_.set_ready_flag(h, &d.ready);
 }
 
 ControlPlaneHarness::~ControlPlaneHarness() {
@@ -211,6 +239,7 @@ ConvergeStats ControlPlaneHarness::run_to_convergence() {
   out.virtual_us = events_.now() / kMicrosecond;
   out.events_processed = events_.processed();
   out.trajectory_hash = hash_;
+  out.agent_polls = agent_polls_;
   for (const auto& a : agents_) {
     out.updates_received += a->stats().updates_received;
   }

@@ -16,6 +16,17 @@
 // real flowlet_start batching path at their generated virtual times,
 // staggered behind the agents' connection ramp.
 //
+// Agents are polled by one periodic sweep in index order, the
+// virtual-time stand-in for each endpoint's poll loop. The sweep skips
+// an agent whose poll would change nothing: its stream is not readable
+// (SimTransport raises a per-agent flag when an unwatched stream turns
+// readable, without an event) and EndpointAgent::next_poll_us() lies in
+// the future. Every call into an agent refreshes that deadline and the
+// flag's binding to the agent's current handle, so trajectories are
+// bit-identical to polling every agent, and an idle round costs what
+// changed rather than the fleet size. Outside code sees agents const
+// only: a call the harness did not make could move a deadline.
+//
 // The harness doubles as a fault rig: restart_service() tears the
 // service down and rebinds the same port (agents replay their flowlets
 // on reconnect), and every wire fault -- reset storm, frame drops,
@@ -98,6 +109,7 @@ struct ConvergeStats {
   std::uint64_t updates_sent = 0;
   std::uint64_t updates_received = 0;  // summed over agents
   std::uint64_t events_processed = 0;
+  std::uint64_t agent_polls = 0;  // EndpointAgent::poll calls the sweep ran
   // Order-sensitive FNV-1a over every (virtual_us, agent, key, code)
   // rate application; two same-seed runs must match bit-for-bit.
   std::uint64_t trajectory_hash = 0;
@@ -126,12 +138,16 @@ class ControlPlaneHarness {
     return events_.now() / kMicrosecond;
   }
   [[nodiscard]] net::AllocatorService& service() { return *svc_; }
-  [[nodiscard]] net::EndpointAgent& agent(int i) { return *agents_[i]; }
+  [[nodiscard]] const net::EndpointAgent& agent(int i) const {
+    return *agents_[static_cast<std::size_t>(i)];
+  }
   [[nodiscard]] int num_agents() const {
     return static_cast<int>(agents_.size());
   }
   [[nodiscard]] std::size_t total_flows() const { return total_flows_; }
   [[nodiscard]] std::size_t flows_seen() const { return seen_count_; }
+  // Agent polls the sweep has run so far.
+  [[nodiscard]] std::uint64_t agent_polls() const { return agent_polls_; }
   [[nodiscard]] SimTransport& transport() { return tr_; }
   [[nodiscard]] core::Allocator& allocator() { return alloc_; }
   [[nodiscard]] int restart_count() const { return restarts_; }
@@ -142,6 +158,17 @@ class ControlPlaneHarness {
  private:
   void note_rate(int agent_idx, std::uint32_t key, std::uint16_t code);
   [[nodiscard]] net::ServerConfig server_cfg();
+  // One poll sweep (see the header comment).
+  void sweep();
+  // Re-reads agent i's deadline and readiness after a call into it.
+  void refresh(std::size_t i);
+
+  // What the sweep knows of one agent, contiguous so the sweep's skip
+  // test touches no agent.
+  struct Due {
+    std::int64_t poll_at_us = 0;  // EndpointAgent::next_poll_us()
+    bool ready = false;           // the stream's flag (set_ready_flag)
+  };
 
   HarnessConfig cfg_;
   EventQueue events_;
@@ -151,7 +178,11 @@ class ControlPlaneHarness {
   std::unique_ptr<SimLoop> loop_;
   std::unique_ptr<net::AllocatorService> svc_;
   std::unique_ptr<SimProxy> proxy_;
+  // By agent index, never resized after setup: streams hold pointers
+  // into it, so it is declared (and outlives) agents_.
+  std::vector<Due> due_;
   std::vector<std::unique_ptr<net::EndpointAgent>> agents_;
+  std::uint64_t agent_polls_ = 0;
   int port_ = -1;
   int restarts_ = 0;  // also drives the allocator epoch: 1 + restarts_
   std::size_t total_flows_ = 0;

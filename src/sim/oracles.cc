@@ -34,7 +34,7 @@ std::optional<OracleReport> Oracles::check_stale_rate(
     ControlPlaneHarness& h) const {
   std::vector<net::EndpointAgent::FlowView> flows;
   for (int i = 0; i < h.num_agents(); ++i) {
-    net::EndpointAgent& a = h.agent(i);
+    const net::EndpointAgent& a = h.agent(i);
     if (!a.epoch_seen()) continue;
     const std::uint16_t observed = a.observed_epoch();
     flows.clear();
@@ -60,7 +60,7 @@ std::optional<OracleReport> Oracles::check_lease_safety(
     ControlPlaneHarness& h) const {
   const std::int64_t now = h.virtual_now_us();
   for (int i = 0; i < h.num_agents(); ++i) {
-    net::EndpointAgent& a = h.agent(i);
+    const net::EndpointAgent& a = h.agent(i);
     if (a.conn_state() != net::ConnState::kConnected) continue;
     const std::int64_t deadline = a.lease_deadline_us();
     if (deadline == 0) continue;  // lease disarmed (or not configured)

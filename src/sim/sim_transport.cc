@@ -327,6 +327,7 @@ void SimTransport::close(int handle) {
   if (!s.open) return;
   s.open = false;
   s.watch = Watch{};
+  s.ready_flag = nullptr;
   const Stream* peer = stream(s.peer);
   if (peer != nullptr && peer->open && !peer->reset) {
     // FIN ordering: it arrives behind every byte already written.
@@ -462,6 +463,22 @@ SimTransport::Watch* SimTransport::watch_of(int handle) {
   return nullptr;
 }
 
+bool SimTransport::readable(const Stream& s) {
+  return s.reset || s.inbox.size() > s.inbox_off ||
+         (s.peer_closed && s.in_flight == 0);
+}
+
+bool SimTransport::readable(int handle) const {
+  const Stream* s = stream(handle);
+  return s != nullptr && readable(*s);
+}
+
+void SimTransport::set_ready_flag(int handle, bool* flag) {
+  Stream* s = stream(handle);
+  FT_CHECK(s != nullptr);
+  s->ready_flag = flag;
+}
+
 std::uint32_t SimTransport::ready_mask(int handle) const {
   if (const Listener* l = listener(handle)) {
     const std::uint32_t m = l->backlog.empty() ? 0 : net::kEvRead;
@@ -470,23 +487,16 @@ std::uint32_t SimTransport::ready_mask(int handle) const {
   const Stream* sp = stream(handle);
   if (sp == nullptr) return 0;
   const Stream& s = *sp;
-  std::uint32_t m = 0;
+  std::uint32_t m = readable(s) ? net::kEvRead : 0;
   if (s.reset) {
-    m = net::kEvRead | net::kEvErr | net::kEvHup;
-  } else {
-    if (s.inbox.size() - s.inbox_off > 0 ||
-        (s.peer_closed && s.in_flight == 0)) {
-      m |= net::kEvRead;
-    }
-    if (!s.peer_closed) {
-      if (const Stream* peer = stream(s.peer)) {
-        const auto pending =
-            static_cast<std::int64_t>(peer->inbox.size() -
-                                      peer->inbox_off) +
-            peer->in_flight;
-        if (pending < static_cast<std::int64_t>(stream_buf_bytes_)) {
-          m |= net::kEvWrite;
-        }
+    m |= net::kEvErr | net::kEvHup;
+  } else if (!s.peer_closed) {
+    if (const Stream* peer = stream(s.peer)) {
+      const auto pending =
+          static_cast<std::int64_t>(peer->inbox.size() - peer->inbox_off) +
+          peer->in_flight;
+      if (pending < static_cast<std::int64_t>(stream_buf_bytes_)) {
+        m |= net::kEvWrite;
       }
     }
   }
@@ -497,8 +507,16 @@ std::uint32_t SimTransport::ready_mask(int handle) const {
 
 void SimTransport::request_notify(int handle) {
   Watch* w = watch_of(handle);
-  if (w == nullptr || w->loop == nullptr || w->notify_pending) return;
-  if (ready_mask(handle) == 0) return;
+  if (w == nullptr) return;
+  if (w->loop == nullptr) {
+    // Unwatched: whoever polls it learns through the flag, not an event.
+    const Stream* s = stream(handle);
+    if (s != nullptr && s->ready_flag != nullptr && readable(*s)) {
+      *s->ready_flag = true;
+    }
+    return;
+  }
+  if (w->notify_pending || ready_mask(handle) == 0) return;
   w->notify_pending = true;
   events_.schedule(events_.now(), this, kTagNotify,
                    static_cast<std::uint64_t>(

@@ -8,7 +8,11 @@
 // in the peer's inbox one configured latency later. Readiness is
 // delivered through SimLoop -- an IoLoop whose timers and fd callbacks
 // are all queue events -- so the *real* AllocatorService and
-// EndpointAgent run unmodified on virtual time: a 10k-endpoint
+// EndpointAgent run unmodified on virtual time. A caller that polls
+// many handles instead of watching them (every notify on a loop is an
+// event) binds a flag to each with set_ready_flag(): the transport
+// raises it whenever the unwatched handle turns readable, without
+// scheduling anything, and readable() reads the level. A 10k-endpoint
 // control plane converges in seconds of wall clock, and two runs with
 // the same seed replay bit-identically (single thread, seeded RNG,
 // seq-ordered event ties, a handle-indexed table walked in handle
@@ -177,6 +181,19 @@ class SimTransport final : public net::Transport, public EventHandler {
   // listeners survive so re-dials succeed.
   void kill_all();
 
+  // --- readiness for unwatched streams ---
+  // True when read(handle) would not fail with EAGAIN: bytes waiting,
+  // EOF (FIN with nothing in flight) or a reset. False for a handle
+  // that is not a live stream.
+  [[nodiscard]] bool readable(int handle) const;
+  // Binds `flag` to stream `handle` (null unbinds): while no loop
+  // watches the handle, every path that can make it readable (a
+  // delivery, a FIN, kill_all, a refused connect) sets *flag = true if
+  // it is readable then, and schedules no event. The transport never
+  // clears the flag; close() unbinds it. `flag` must outlive the
+  // binding.
+  void set_ready_flag(int handle, bool* flag);
+
   // Mirrors the drop/fault counters into named obs:: counters (e.g.
   // "<prefix>.bytes_dropped_sieve") so simulated loss is visible on the
   // same metrics plane as production loss. Call once at setup; the
@@ -242,6 +259,7 @@ class SimTransport final : public net::Transport, public EventHandler {
     // Set when this direction rides a carrier (null on the link).
     std::unique_ptr<Carried> carried;
     Watch watch;
+    bool* ready_flag = nullptr;  // see set_ready_flag
   };
 
   struct Listener {
@@ -297,9 +315,10 @@ class SimTransport final : public net::Transport, public EventHandler {
   // Attributes each record in a sieve-dropped frame payload to its
   // per-type drop counter.
   void count_dropped_records(const std::uint8_t* payload, std::size_t len);
+  [[nodiscard]] static bool readable(const Stream& s);
   [[nodiscard]] std::uint32_t ready_mask(int handle) const;
   // Schedules a readiness dispatch if the handle is watched, ready and
-  // none is pending.
+  // none is pending; raises the ready flag of a readable unwatched one.
   void request_notify(int handle);
   void maybe_erase_pair(int handle);
   [[nodiscard]] Watch* watch_of(int handle);

@@ -7,6 +7,7 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <thread>
 #include <vector>
 
@@ -406,6 +407,33 @@ TEST(FlatMapTest, BackshiftDeletionSurvivesCollisionClusters) {
     EXPECT_TRUE(m.emplace(k, static_cast<int>(k) + 1000));
   }
   EXPECT_EQ(m.size(), 200u);
+}
+
+TEST(FlatMapTest, ForEachVisitsEachLiveEntryOnceAfterBackshifts) {
+  // 180 keys in 256 slots: long probe clusters, so the erases below
+  // move entries back across the holes they leave.
+  FlatMap64<std::uint64_t> m(256);
+  Rng rng(11);
+  std::map<std::uint64_t, std::uint64_t> live;
+  for (std::uint64_t k = 0; k < 180; ++k) {
+    ASSERT_TRUE(m.emplace(k, k * 3));
+    live.emplace(k, k * 3);
+  }
+  for (int i = 0; i < 120; ++i) {
+    const std::uint64_t k = rng.below(180);
+    EXPECT_EQ(m.erase(k), live.erase(k) == 1);
+    if (i % 2 == 0 && m.emplace(k + 1000, k)) live.emplace(k + 1000, k);
+  }
+  std::map<std::uint64_t, int> visits;
+  m.for_each([&](std::uint64_t key, std::uint64_t value) {
+    ++visits[key];
+    const auto it = live.find(key);
+    ASSERT_NE(it, live.end()) << "erased key " << key << " visited";
+    EXPECT_EQ(value, it->second) << key;
+  });
+  EXPECT_EQ(visits.size(), live.size());
+  EXPECT_EQ(visits.size(), m.size());
+  for (const auto& [key, n] : visits) EXPECT_EQ(n, 1) << key;
 }
 
 TEST(FlatMapTest, ReservePreventsRehash) {

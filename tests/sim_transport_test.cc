@@ -6,13 +6,15 @@
 // regression and the virtual-clock ports of the recovery drills (lease
 // expiry and fallback, whole-frame drops, reconnect backoff spread),
 // which assert exact virtual instants where wall-clock drills would need
-// tolerance bands.
+// tolerance bands, and EndpointAgent::next_poll_us()'s contract with the
+// harness's poll sweep.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -520,6 +522,48 @@ TEST(ControlPlaneHarnessTest, FaultedTrajectoryIsPinned) {
   EXPECT_EQ(st.rounds, 273u);
 }
 
+// The chaos campaign's liveness profile (heartbeats both ways, leases,
+// peer timeouts) through a black hole long enough to time out every
+// agent, so lease expiry, decay, heartbeats, peer timeouts and
+// reconnect backoff all drive polls. The constants are the trajectory
+// of a sweep that polls every agent, which skipping must reproduce.
+TEST(ControlPlaneHarnessTest, HardenedTrajectoryIsPinned) {
+  HarnessConfig cfg = small_cfg(17);
+  cfg.heartbeat_period_us = 10'000;
+  cfg.rate_lease_us = 50'000;
+  cfg.peer_timeout_us = 300'000;
+  cfg.agent_heartbeat_period_us = 10'000;
+  cfg.agent_peer_timeout_us = 150'000;
+  ControlPlaneHarness h(cfg);
+  ASSERT_TRUE(h.run_to_convergence().converged);
+  h.transport().set_black_hole(true);
+  h.run_for(200'000);
+  h.transport().set_black_hole(false);
+  const ConvergeStats st = h.run_to_convergence();
+  ASSERT_TRUE(st.converged);
+  EXPECT_EQ(st.trajectory_hash, 0x89185696e5bf98e3ULL);
+  EXPECT_EQ(st.events_processed, 13646u);
+  EXPECT_EQ(st.updates_sent, 4856u);
+  EXPECT_EQ(st.rounds, 667u);
+}
+
+// The sweep polls an agent only when its stream has news or a timer is
+// due. Converged and idle, news is the anti-entropy re-emission: with
+// refresh_rounds = 32, each round reaches at most ceil(128 / 32) = 4 of
+// the 64 agents, where polling everyone would cost 64 per round.
+TEST(ControlPlaneHarnessTest, IdleRoundsPollOnlyAgentsWithNews) {
+  ControlPlaneHarness h(small_cfg(17));
+  const ConvergeStats st = h.run_to_convergence();
+  ASSERT_TRUE(st.converged);
+  EXPECT_EQ(st.agent_polls, h.agent_polls());
+  EXPECT_LT(st.agent_polls, st.rounds * 64);
+  const std::uint64_t before = h.agent_polls();
+  h.run_for(32 * h.config().iteration_period_us);
+  const std::uint64_t idle = h.agent_polls() - before;
+  EXPECT_GT(idle, 0u);
+  EXPECT_LE(idle, 32u * 4u);
+}
+
 TEST(ControlPlaneHarnessTest, DifferentSeedsDiverge) {
   ControlPlaneHarness a(small_cfg(1));
   ControlPlaneHarness b(small_cfg(2));
@@ -810,6 +854,203 @@ TEST(SimRecoveryTest, DropSieveDropsWholeFramesDeterministically) {
   EXPECT_EQ(b.frames_dropped, a.frames_dropped);
   EXPECT_EQ(b.bytes_dropped_sieve, a.bytes_dropped_sieve);
   EXPECT_EQ(b.bytes_delivered, a.bytes_delivered);
+}
+
+// Starts `n` flows (keys 1..n) and runs rounds until each has a rate.
+void start_acked_flows(DrillPlane& p, std::uint32_t n) {
+  for (std::uint32_t key = 1; key <= n; ++key) {
+    const auto src = static_cast<std::uint16_t>(key % 16);
+    const auto dst = static_cast<std::uint16_t>((key + 5) % 16);
+    ASSERT_TRUE(p.agent.flowlet_start(key, src, dst));
+  }
+  p.agent.flush();
+  ASSERT_TRUE(p.run_until(true, [&] {
+    for (std::uint32_t key = 1; key <= n; ++key) {
+      if (p.agent.rate_code(key) == 0) return false;
+    }
+    return true;
+  }));
+}
+
+// A flow started a moment ago is waiting for its first rate, not lost:
+// one more flow on a long-lived, fully acked connection must not replay
+// the whole table (the service would re-emit a rate for every flow).
+TEST(SimRecoveryTest, NewFlowOnAnAckedTableReplaysNothing) {
+  DrillPlane p(11, 0, 0, {});
+  net::EndpointAgent& agent = p.agent;
+  start_acked_flows(p, 20);
+  // More than one refresh period after the connection's last replay.
+  ASSERT_TRUE(p.run_until(true, [&] { return p.now_us() >= 350'000; }));
+  ASSERT_EQ(agent.stats().registration_refreshes, 0u);
+
+  ASSERT_TRUE(agent.flowlet_start(21, 3, 12));
+  p.step();  // one poll before the next round: flow 21 is still unacked
+  p.step();  // the service reads what that poll sent
+  EXPECT_EQ(agent.stats().registration_refreshes, 0u);
+  EXPECT_EQ(agent.stats().replayed_starts, 0u);
+  EXPECT_EQ(p.svc.stats().replayed_starts, 0u);
+  // The next round acks it like any other flow.
+  EXPECT_TRUE(p.run_until(true, [&] { return agent.rate_code(21) != 0; },
+                          DrillPlane::kStepUs));
+}
+
+// ---------------------------------------------------------------------
+// EndpointAgent::next_poll_us(): until the deadline a poll of an
+// unreadable agent changes nothing, and at the deadline it does the due
+// action -- the contract the harness's poll sweep relies on.
+// ---------------------------------------------------------------------
+
+constexpr std::int64_t kNever = std::numeric_limits<std::int64_t>::max();
+
+// What a poll may change: the agent's stats, state, lease, applied
+// rates (keys 1..flows), and the bytes it hands the transport.
+struct AgentView {
+  net::AgentStats stats;
+  net::ConnState state;
+  std::int64_t lease_deadline_us;
+  std::int64_t bytes_accepted;
+  std::vector<double> rates;
+  bool operator==(const AgentView&) const = default;
+};
+
+AgentView view(DrillPlane& p, std::uint32_t flows) {
+  AgentView v{p.agent.stats(), p.agent.conn_state(),
+              p.agent.lease_deadline_us(), p.tr.stats().bytes_accepted, {}};
+  for (std::uint32_t key = 1; key <= flows; ++key) {
+    v.rates.push_back(p.agent.rate_bps(key));
+  }
+  return v;
+}
+
+// Polls just after now, halfway to the agent's deadline and one
+// microsecond short of it, expecting each poll to change nothing and
+// to leave the deadline in place; then moves the clock to the deadline
+// without polling. Nothing may arrive meanwhile.
+void poll_quietly_until_due(DrillPlane& p, std::uint32_t flows) {
+  const std::int64_t from = p.now_us();
+  const std::int64_t due = p.agent.next_poll_us();
+  ASSERT_GT(due, from);
+  ASSERT_LT(due, kNever);
+  for (const std::int64_t t : {from + 1, from + (due - from) / 2, due - 1}) {
+    if (t <= p.now_us()) continue;
+    p.q.run_until(t * kMicrosecond);
+    ASSERT_FALSE(p.tr.readable(p.agent.handle()));
+    const AgentView before = view(p, flows);
+    p.agent.poll();
+    EXPECT_TRUE(view(p, flows) == before) << "poll at " << t << " us";
+    EXPECT_EQ(p.agent.next_poll_us(), due) << "poll at " << t << " us";
+  }
+  p.q.run_until(due * kMicrosecond);
+  ASSERT_FALSE(p.tr.readable(p.agent.handle()));
+}
+
+TEST(AgentDeadlineTest, ConnectedIdleAgentIsNeverDue) {
+  DrillPlane p(21, 0, 0, {});
+  start_acked_flows(p, 2);
+  ASSERT_FALSE(p.tr.readable(p.agent.handle()));
+  EXPECT_EQ(p.agent.next_poll_us(), kNever);
+  const AgentView before = view(p, 2);
+  p.q.run_until(p.q.now() + 5 * kSecond);
+  p.agent.poll();
+  EXPECT_TRUE(view(p, 2) == before);
+}
+
+TEST(AgentDeadlineTest, HeartbeatIsDueOnePeriodAfterTheLast) {
+  net::AgentConfig acfg;
+  acfg.heartbeat_period_us = 10'000;
+  DrillPlane p(22, 0, 0, acfg);
+  EXPECT_EQ(p.agent.next_poll_us(), 10'000);  // connected at 0
+  poll_quietly_until_due(p, 0);
+  const std::int64_t sent0 = p.tr.stats().bytes_accepted;
+  p.agent.poll();
+  EXPECT_EQ(p.agent.stats().heartbeats_sent, 1u);
+  EXPECT_GT(p.tr.stats().bytes_accepted, sent0);
+  EXPECT_EQ(p.agent.next_poll_us(), 20'000);
+}
+
+TEST(AgentDeadlineTest, LeaseExpiryThenFallbackDecay) {
+  net::AgentConfig acfg;
+  acfg.fallback_decay_interval_us = 2'000;
+  DrillPlane p(23, 5'000, 50'000, acfg);
+  start_acked_flows(p, 2);
+  ASSERT_TRUE(p.run_until(false, [&] { return p.agent.lease_fresh(); }));
+  p.tr.set_black_hole(true);
+  p.step();  // drain what was already in flight
+  // Lease armed: due one microsecond past the deadline (poll tests >).
+  EXPECT_EQ(p.agent.next_poll_us(), p.agent.lease_deadline_us() + 1);
+  poll_quietly_until_due(p, 2);
+  const double r1 = p.agent.rate_bps(1);
+  p.agent.poll();
+  ASSERT_EQ(p.agent.conn_state(), net::ConnState::kDegraded);
+  EXPECT_EQ(p.agent.stats().lease_expiries, 1u);
+  EXPECT_EQ(p.agent.rate_bps(1), r1 / 2);  // first decay tick: at once
+
+  // Degraded: the next decay tick is one interval later.
+  EXPECT_EQ(p.agent.next_poll_us(), p.now_us() + 2'000);
+  poll_quietly_until_due(p, 2);
+  p.agent.poll();
+  EXPECT_EQ(p.agent.rate_bps(1), r1 / 4);
+}
+
+TEST(AgentDeadlineTest, PeerTimeoutIsDueJustPastTheTimeout) {
+  net::AgentConfig acfg;
+  acfg.peer_timeout_us = 30'000;
+  DrillPlane p(24, 0, 0, acfg);
+  // Connected at virtual 0, nothing received yet: the timeout is
+  // disarmed until the first byte arrives (poll() tests last_rx != 0).
+  EXPECT_EQ(p.agent.next_poll_us(), kNever);
+  start_acked_flows(p, 1);
+  const std::int64_t due = p.last_rx_us + 30'000 + 1;  // poll tests >
+  EXPECT_EQ(p.agent.next_poll_us(), due);
+  poll_quietly_until_due(p, 1);
+  p.agent.poll();
+  EXPECT_EQ(p.agent.stats().disconnects, 1u);
+  EXPECT_EQ(p.agent.conn_state(), net::ConnState::kDisconnected);
+  EXPECT_EQ(p.agent.next_poll_us(), kNever);  // lost for good
+}
+
+TEST(AgentDeadlineTest, ReconnectAttemptIsDueAfterTheBackoff) {
+  net::AgentConfig acfg;
+  acfg.auto_reconnect = true;
+  acfg.reconnect_seed = 7;
+  acfg.fallback_decay_interval_us = 1'000'000;
+  DrillPlane p(25, 0, 0, acfg);
+  start_acked_flows(p, 2);
+  p.tr.kill_all();
+  ASSERT_TRUE(p.tr.readable(p.agent.handle()));  // the reset is news
+  p.agent.poll();
+  ASSERT_EQ(p.agent.conn_state(), net::ConnState::kReconnecting);
+  // Flows present and no decay tick run yet: due at once.
+  EXPECT_LE(p.agent.next_poll_us(), p.now_us());
+  const double r1 = p.agent.rate_bps(1);
+  p.agent.poll();
+  EXPECT_EQ(p.agent.rate_bps(1), r1 / 2);
+  EXPECT_EQ(p.agent.stats().reconnect_attempts, 0u);
+  // Now the backoff (5-10 ms) comes before the next decay tick (1 s).
+  const std::int64_t due = p.agent.next_poll_us();
+  EXPECT_GE(due, p.now_us() + 5'000);
+  EXPECT_LT(due, p.now_us() + 10'000);
+  poll_quietly_until_due(p, 2);
+  p.agent.poll();
+  EXPECT_EQ(p.agent.stats().reconnect_attempts, 1u);
+  EXPECT_EQ(p.agent.stats().reconnects, 1u);
+  EXPECT_EQ(p.agent.conn_state(), net::ConnState::kConnected);
+  EXPECT_EQ(p.agent.stats().replayed_starts, 2u);
+}
+
+TEST(AgentDeadlineTest, UnackedFlowIsDueOnePeriodAfterRegistering) {
+  DrillPlane p(26, 0, 0, {});
+  start_acked_flows(p, 2);
+  p.tr.set_partition_up(true);  // flow 3's start evaporates
+  const std::int64_t registered = p.now_us();
+  ASSERT_TRUE(p.agent.flowlet_start(3, 4, 9));
+  p.agent.poll();
+  EXPECT_EQ(p.agent.next_poll_us(), registered + net::kReregisterPeriodUs);
+  poll_quietly_until_due(p, 3);
+  p.agent.poll();
+  EXPECT_EQ(p.agent.stats().registration_refreshes, 1u);
+  EXPECT_EQ(p.agent.stats().replayed_starts, 3u);
+  EXPECT_EQ(p.agent.next_poll_us(), p.now_us() + net::kReregisterPeriodUs);
 }
 
 // ---------------------------------------------------------------------
