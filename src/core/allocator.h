@@ -16,6 +16,8 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/flat_map.h"
@@ -74,7 +76,7 @@ struct AllocatorStats {
   std::uint64_t updates_refreshed = 0;
 };
 
-class Allocator {
+class Allocator : private SweepHook {
  public:
   Allocator(std::vector<double> link_capacities_bps, AllocatorConfig cfg);
   // With an explicit solve backend (core/backend.h). The factory runs
@@ -113,15 +115,25 @@ class Allocator {
   }
 
   // One allocation round: NED iteration(s), normalization, thresholded
-  // update emission. Updates are appended to `out`. Steady state (stable
-  // flow set, recycled `out`) performs no heap allocation; churn spikes
-  // re-reserve up front rather than reallocating mid-round.
+  // update emission. Updates are appended to `out`, in slot order. The
+  // emission sweep is one function over a slot range that the backend
+  // calls as each range's final rates land (SweepHook): the sequential
+  // backend sweeps every slot as range 0; the parallel backend sweeps
+  // one range per worker thread. Range 0 appends straight to `out`, each
+  // later range to a buffer of its own, and this thread appends those
+  // buffers in range order -- the same stream, key for key, as one
+  // sweep in slot order. Steady state (stable flow set, recycled `out`)
+  // performs no heap allocation; churn spikes re-reserve up front rather
+  // than reallocating mid-round. core.solve_us / core.emit_us split this
+  // thread's time: a sweep that ran on it counts as emission, one on a
+  // worker thread as part of the solve it waited for.
   void run_iteration(std::vector<RateUpdate>& out);
 
   // Pre-sizes every per-flow structure (problem SoA arrays, key map,
-  // notification state, emission scratch) for `flows` concurrent
-  // flowlets. Churn up to that size then allocates nothing, however the
-  // flows spread over the links.
+  // notification state, emission scratch and per-range update buffers,
+  // the backend's churn state) for `flows` concurrent flowlets. Churn up
+  // to that size then allocates nothing, however the flows spread over
+  // the links and however many starts and ends come between two rounds.
   void reserve(std::size_t flows);
 
   // Marks a flow as never-notified so the next run_iteration re-emits
@@ -132,9 +144,11 @@ class Allocator {
   void invalidate_notification(std::uint64_t key);
 
   // CLOCK_MONOTONIC_RAW stamps (obs::now_ns) of the most recent
-  // run_iteration's phase boundaries: solve start, solve/normalize done,
-  // emission sweep done. The service's update-path tracer copies these
-  // into a traced flow's kHopSolveDone / kHopEmitDone slots.
+  // run_iteration's phase boundaries: solve start, solve/normalize done
+  // (the latest slot range's, when ranges are swept on several threads),
+  // emission done (after the per-range buffers are merged). The
+  // service's update-path tracer copies these into a traced flow's
+  // kHopSolveDone / kHopEmitDone slots.
   struct RoundStamps {
     std::int64_t solve_start_ns = 0;
     std::int64_t solve_end_ns = 0;
@@ -165,6 +179,28 @@ class Allocator {
  private:
   struct Metrics;  // resolved registry handles (allocator.cc)
 
+  // One slot range's sweep: its update buffer (unused by range 0, which
+  // sweeps straight into the round's `out`), counts and stamps. Written
+  // only by the thread that sweeps the range; one cache line apart.
+  struct alignas(64) RangeSweep {
+    std::vector<RateUpdate> out;
+    std::size_t emitted = 0;
+    std::uint64_t refreshed = 0;
+    std::int64_t solve_done_ns = 0;  // range's final rates in place
+    std::int64_t sweep_ns = 0;
+    bool on_caller = false;          // swept on run_iteration's thread
+  };
+
+  // SweepHook: the backend calls this once per range of the final rates.
+  void sweep(std::size_t range, std::size_t lo, std::size_t hi,
+             std::span<const double> norm_rates) override;
+  // The thresholded emission sweep over slots [lo, hi): appends the
+  // updates to `out` in slot order and returns {emitted, refreshed}.
+  // The caller gives `out` room for every update the range can emit.
+  std::pair<std::size_t, std::uint64_t> emit_range(
+      std::size_t lo, std::size_t hi, const double* rate,
+      std::vector<RateUpdate>& out);
+
   AllocatorConfig cfg_;
   NumProblem problem_;
   std::unique_ptr<SolveBackend> backend_;
@@ -181,6 +217,10 @@ class Allocator {
   // slot_to_key_, never inside a round).
   std::vector<std::uint32_t> emit_sel_;
   std::uint64_t round_seq_ = 0;        // run_iteration count (refresh stagger)
+  std::vector<RangeSweep> ranges_;     // one per backend sweep range
+  // The running round's `out` and thread, for the hook.
+  std::vector<RateUpdate>* round_out_ = nullptr;
+  std::thread::id round_thread_;
   RoundStamps stamps_;
 };
 

@@ -18,7 +18,7 @@ class SequentialNedBackend final : public SolveBackend {
   void flow_added(FlowIndex) override {}
   void flow_removed(FlowIndex) override {}
 
-  void solve(int iters) override {
+  void solve(int iters, SweepHook& sweep) override {
     const std::int64_t t0 = ned_us_ != nullptr ? obs::now_us() : 0;
     for (int i = 0; i < iters; ++i) ned_.iterate();
     const std::int64_t t1 = ned_us_ != nullptr ? obs::now_us() : 0;
@@ -36,6 +36,7 @@ class SequentialNedBackend final : public SolveBackend {
       ned_us_->record_signed(t1 - t0);
       norm_us_->record_signed(obs::now_us() - t1);
     }
+    sweep.sweep(0, 0, problem_.num_slots(), norm_rates_);
   }
 
   void bind_metrics(obs::MetricsRegistry& reg) override {
@@ -92,11 +93,18 @@ class ParallelNedBackend final : public SolveBackend {
 
   void flow_removed(FlowIndex slot) override { par_->unassign_flow(slot); }
 
-  void solve(int iters) override {
+  void reserve(std::size_t slots) override { par_->reserve(slots); }
+
+  void solve(int iters, SweepHook& sweep) override {
     // Normalization only matters for the final rates, so skip its pass
     // on all but the last iteration (matching the sequential backend,
-    // which normalizes once per round).
-    for (int i = 0; i < iters; ++i) par_->iterate(i + 1 == iters);
+    // which normalizes once per round); the sweep runs on the last.
+    for (int i = 0; i + 1 < iters; ++i) par_->iterate(false);
+    par_->iterate(true, &sweep);
+  }
+
+  [[nodiscard]] std::size_t sweep_ranges() const override {
+    return static_cast<std::size_t>(par_->num_threads());
   }
 
   [[nodiscard]] std::span<const double> norm_rates() const override {

@@ -15,6 +15,13 @@
 //
 // Both backends produce identical rates up to floating-point summation
 // order (unit-tested), so they are interchangeable behind the service.
+//
+// The allocator's thresholded update sweep rides inside solve() as a
+// SweepHook, called once per slot range as soon as that range's final
+// rates are in place: the sequential backend sweeps all slots as one
+// range on the calling thread; the parallel backend sweeps one range per
+// worker thread, on that thread, right after it gathered the range's
+// rates.
 #pragma once
 
 #include <functional>
@@ -31,6 +38,24 @@ class MetricsRegistry;
 
 namespace ft::core {
 
+// The per-slot-range sweep contract. solve() calls sweep() exactly once
+// per range r in [0, sweep_ranges()), after norm_rates[lo, hi) hold that
+// range's final normalized rates. Ranges are disjoint, contiguous and
+// numbered in slot order, and together cover [0, num_slots). Different
+// ranges may be swept concurrently on different threads while the
+// calling thread waits inside solve(), so an implementation may write
+// only state indexed by slots in [lo, hi) and per-range scratch of its
+// own; it may read (never write) anything the round does not change.
+// The call is a plain virtual dispatch: nothing is allocated to make it.
+class SweepHook {
+ public:
+  virtual void sweep(std::size_t range, std::size_t lo, std::size_t hi,
+                     std::span<const double> norm_rates) = 0;
+
+ protected:
+  ~SweepHook() = default;
+};
+
 class SolveBackend {
  public:
   virtual ~SolveBackend() = default;
@@ -42,11 +67,19 @@ class SolveBackend {
   virtual void flow_added(FlowIndex slot) = 0;
   virtual void flow_removed(FlowIndex slot) = 0;
 
-  // `iters` NED iterations followed by normalization. Afterwards
-  // norm_rates() covers every problem slot (values for inactive slots
-  // are unspecified).
-  virtual void solve(int iters) = 0;
+  // Pre-sizes the backend's per-slot churn state for `slots` slots, so
+  // churn below that size allocates nothing. Default: nothing to size.
+  virtual void reserve(std::size_t /*slots*/) {}
+
+  // `iters` NED iterations followed by normalization, with `sweep`
+  // called on every slot range of the final rates (see SweepHook).
+  // Afterwards norm_rates() covers every problem slot (values for
+  // inactive slots are unspecified).
+  virtual void solve(int iters, SweepHook& sweep) = 0;
   [[nodiscard]] virtual std::span<const double> norm_rates() const = 0;
+  // How many ranges solve() hands to the hook; fixed for the backend's
+  // life.
+  [[nodiscard]] virtual std::size_t sweep_ranges() const { return 1; }
 
   // Resolves backend-specific metric handles in `reg` (cold path; the
   // registry must outlive the backend). The sequential backend splits
@@ -54,9 +87,10 @@ class SolveBackend {
   // adds per-band solve and barrier-wait histograms. Default: no-op.
   virtual void bind_metrics(obs::MetricsRegistry& /*reg*/) {}
 
-  // Slowest worker band's compute time (us) in the most recent solve,
-  // for flight-recorder spike attribution; 0 when the backend has no
-  // notion of bands (sequential).
+  // Slowest worker band's compute time (us) in the most recent solve --
+  // its share of churn, solve, gather and sweep -- for flight-recorder
+  // spike attribution; 0 when the backend has no notion of bands
+  // (sequential).
   [[nodiscard]] virtual double last_band_max_us() const { return 0.0; }
 
   [[nodiscard]] virtual const char* name() const = 0;

@@ -4,6 +4,7 @@
 #include <array>
 
 #include "common/check.h"
+#include "core/backend.h"
 #include "obs/metrics.h"
 
 #if defined(__x86_64__) || defined(_M_X64)
@@ -127,59 +128,53 @@ ParallelNed::~ParallelNed() {
 std::int32_t ParallelNed::barriers_per_iter() const {
   const auto crossing = std::count_if(
       steps_.begin(), steps_.end(), [](const Step& s) { return s.crosses; });
-  // Start and end, plus one per crossing step each way.
-  return 2 + 2 * static_cast<std::int32_t>(crossing);
+  // Start, churn, gather and end, plus one per crossing step each way.
+  return 4 + 2 * static_cast<std::int32_t>(crossing);
+}
+
+void ParallelNed::reserve(std::size_t slots) {
+  slot_.reserve(slots);
+  flow_pos_.reserve(slots);
+  removes_.reserve(slots);
+  adds_.reserve(slots);
 }
 
 void ParallelNed::assign_flow(FlowIndex slot, std::int32_t src_block,
                               std::int32_t dst_block) {
   FT_CHECK(src_block >= 0 && src_block < n_);
   FT_CHECK(dst_block >= 0 && dst_block < n_);
-  const FlowView f = problem_.flow(slot);
-  FT_CHECK(f.active());
-  const std::int32_t wi = src_block * n_ + dst_block;
-  WorkerState& w = workers_[static_cast<std::size_t>(wi)];
-  // Validate the partition property -- up links in the src block, down
-  // links in the dst block (Figure 2) -- while translating the route to
-  // the worker's local link indices.
-  const std::span<const std::uint32_t> route = f.route();
-  std::array<std::uint16_t, kMaxRouteLinks> local{};
-  for (std::size_t i = 0; i < route.size(); ++i) {
-    const std::uint32_t l = route[i];
-    const topo::LinkClass& cls = part_.link_class[l];
-    if (cls.dir == topo::LinkDir::kUp) {
-      FT_CHECK(cls.block == src_block);
-      local[i] = static_cast<std::uint16_t>(link_pos_[l]);
-    } else if (cls.dir == topo::LinkDir::kDown) {
-      FT_CHECK(cls.block == dst_block);
-      local[i] = static_cast<std::uint16_t>(w.down_off + link_pos_[l]);
-    } else {
-      FT_CHECK(false);  // flows must not traverse unpartitioned links
-    }
-  }
-  if (flow_worker_.size() <= slot) {
-    flow_worker_.resize(slot + 1, -1);
+  FT_CHECK(problem_.flow(slot).active());
+  if (slot_.size() <= slot) {
+    slot_.resize(slot + 1);
     flow_pos_.resize(slot + 1, 0);
   }
-  FT_CHECK(flow_worker_[slot] == -1);
-  flow_worker_[slot] = wi;
-  flow_pos_[slot] = static_cast<std::uint32_t>(w.flows.size());
-  w.flows.push_back(slot);
-  w.route.insert(w.route.end(), local.begin(), local.end());
-  w.route_len.push_back(static_cast<std::uint8_t>(route.size()));
-  w.weight.push_back(problem_.weight()[slot]);
-  w.alpha.push_back(problem_.alpha()[slot]);
-  w.floor.push_back(problem_.price_floor()[slot]);
-  w.x.push_back(0.0);
+  SlotState& st = slot_[slot];
+  FT_CHECK(st.worker == -1);
+  st.worker = src_block * n_ + dst_block;
+  st.add_pos = static_cast<std::uint32_t>(adds_.size());
+  adds_.push_back(slot);
 }
 
 void ParallelNed::unassign_flow(FlowIndex slot) {
-  FT_CHECK(slot < flow_worker_.size());
-  const std::int32_t wi = flow_worker_[slot];
-  FT_CHECK(wi >= 0);
-  WorkerState& w = workers_[static_cast<std::size_t>(wi)];
-  const std::uint32_t pos = flow_pos_[slot];
-  FT_CHECK(pos < w.flows.size() && w.flows[pos] == slot);
+  FT_CHECK(slot < slot_.size());
+  SlotState& st = slot_[slot];
+  FT_CHECK(st.worker >= 0);
+  const std::uint32_t ai = st.add_pos;
+  if (ai == kNotPending) {
+    removes_.push_back(Pending{slot, st.worker});
+  } else {
+    // Started since the last iterate(): the start and end cancel.
+    adds_[ai] = adds_.back();
+    slot_[adds_[ai]].add_pos = ai;
+    adds_.pop_back();
+  }
+  st = SlotState{};
+}
+
+void ParallelNed::remove_from_band(const Pending& r) {
+  WorkerState& w = workers_[static_cast<std::size_t>(r.worker)];
+  const std::uint32_t pos = flow_pos_[r.slot];
+  FT_CHECK(pos < w.flows.size() && w.flows[pos] == r.slot);
   // Swap-remove across every flow array, fixing the moved slot's
   // position index.
   const std::size_t last = w.flows.size() - 1;
@@ -198,9 +193,46 @@ void ParallelNed::unassign_flow(FlowIndex slot) {
   swap_pop(w.weight);
   swap_pop(w.alpha);
   swap_pop(w.floor);
-  w.x.pop_back();  // every rate update rewrites x before it is read
+  // Every iteration rewrites x, and every normalizing one norm, before
+  // they are read.
+  w.x.pop_back();
+  w.norm.pop_back();
   if (pos < last) flow_pos_[w.flows[pos]] = pos;
-  flow_worker_[slot] = -1;
+}
+
+void ParallelNed::add_to_band(FlowIndex slot) {
+  const std::int32_t wi = slot_[slot].worker;
+  const std::int32_t src_block = wi / n_;
+  const std::int32_t dst_block = wi % n_;
+  WorkerState& w = workers_[static_cast<std::size_t>(wi)];
+  // Validate the partition property -- up links in the src block, down
+  // links in the dst block (Figure 2) -- while translating the route to
+  // the worker's local link indices.
+  const std::span<const std::uint32_t> route = problem_.flow(slot).route();
+  std::array<std::uint16_t, kMaxRouteLinks> local{};
+  for (std::size_t i = 0; i < route.size(); ++i) {
+    const std::uint32_t l = route[i];
+    const topo::LinkClass& cls = part_.link_class[l];
+    if (cls.dir == topo::LinkDir::kUp) {
+      FT_CHECK(cls.block == src_block);
+      local[i] = static_cast<std::uint16_t>(link_pos_[l]);
+    } else if (cls.dir == topo::LinkDir::kDown) {
+      FT_CHECK(cls.block == dst_block);
+      local[i] = static_cast<std::uint16_t>(w.down_off + link_pos_[l]);
+    } else {
+      FT_CHECK(false);  // flows must not traverse unpartitioned links
+    }
+  }
+  flow_pos_[slot] = static_cast<std::uint32_t>(w.flows.size());
+  slot_[slot].add_pos = kNotPending;
+  w.flows.push_back(slot);
+  w.route.insert(w.route.end(), local.begin(), local.end());
+  w.route_len.push_back(static_cast<std::uint8_t>(route.size()));
+  w.weight.push_back(problem_.weight()[slot]);
+  w.alpha.push_back(problem_.alpha()[slot]);
+  w.floor.push_back(problem_.price_floor()[slot]);
+  w.x.push_back(0.0);
+  w.norm.push_back(0.0);
 }
 
 void ParallelNed::rate_update(WorkerState& w) {
@@ -262,27 +294,45 @@ void ParallelNed::price_update_owned(std::int32_t worker) {
   }
 }
 
-void ParallelNed::publish_rates(const WorkerState& w, bool normalize) {
+void ParallelNed::normalize_band(WorkerState& w) {
+  // F-NORM using the distributed ratios, in band order.
   const std::size_t nf = w.flows.size();
-  const FlowIndex* slot = w.flows.data();
-  const double* x = w.x.data();
-  double* rates = rates_.data();
-  if (!normalize) {
-    for (std::size_t i = 0; i < nf; ++i) rates[slot[i]] = x[i];
-    return;
-  }
-  // F-NORM using the distributed ratios.
   const std::uint16_t* r = w.route.data();
   const std::uint8_t* len = w.route_len.data();
   const double* ratio = w.ratio.data();
-  double* norm = norm_rates_.data();
+  const double* x = w.x.data();
+  double* norm = w.norm.data();
   for (std::size_t i = 0; i < nf; ++i, r += kMaxRouteLinks) {
     const std::uint32_t nl = len[i];
     double m = 0.0;
     for (std::uint32_t k = 0; k < nl; ++k) m = std::max(m, ratio[r[k]]);
-    rates[slot[i]] = x[i];
-    norm[slot[i]] = m > 0.0 ? x[i] / m : x[i];
+    norm[i] = m > 0.0 ? x[i] / m : x[i];
   }
+}
+
+void ParallelNed::gather(std::size_t lo, std::size_t hi,
+                         std::vector<double> WorkerState::*from,
+                         std::vector<double>& to) const {
+  const SlotState* st = slot_.data();
+  const std::uint32_t* pos = flow_pos_.data();
+  double* out = to.data();
+  for (std::size_t s = lo; s < hi; ++s) {
+    const std::int32_t wi = st[s].worker;
+    out[s] = wi < 0 ? 0.0  // free slot
+                    : (workers_[static_cast<std::size_t>(wi)].*from)[pos[s]];
+  }
+}
+
+std::span<const double> ParallelNed::rates() {
+  if (rates_stale_) {
+    // The bands still hold the last iteration's rates, at the positions
+    // the slot index arrays name until the next churn is recorded.
+    FT_CHECK(removes_.empty() && adds_.empty());
+    rates_.resize(norm_rates_.size());
+    gather(0, rates_.size(), &WorkerState::x, rates_);
+    rates_stale_ = false;
+  }
+  return rates_;
 }
 
 void ParallelNed::run_phases(std::int32_t t) {
@@ -310,6 +360,17 @@ void ParallelNed::run_phases(std::int32_t t) {
     phase_barrier_.arrive_and_wait();
     wait_ns += obs::now_ns() - w0;
   };
+
+  // Churn recorded since the last iteration: this band's removals, then
+  // its adds. A slot removed from one block may be re-added to another
+  // (the free list recycles it), and the two touch its flow_pos_ entry.
+  for (const Pending& r : removes_) {
+    if (my_worker(r.worker)) remove_from_band(r);
+  }
+  if (!removes_.empty() && !adds_.empty()) phase_wait();
+  for (const FlowIndex slot : adds_) {
+    if (my_worker(slot_[slot].worker)) add_to_band(slot);
+  }
 
   if (refresh_floors_) {
     // A capacity changed since the last iteration: re-read the demand
@@ -361,9 +422,22 @@ void ParallelNed::run_phases(std::int32_t t) {
     }
   }
 
-  // Rates (and F-NORM) leave the band.
-  const bool normalize = cfg_.compute_norm && norm_this_iter_;
-  for (const WorkerState& w : band) publish_rates(w, normalize);
+  // Rates leave the bands in slot order: each band normalizes its own
+  // flows, then (once every band has) this thread gathers its slot
+  // range and sweeps it.
+  const bool normalize = norm_this_iter_;
+  if (normalize) {
+    for (WorkerState& w : band) normalize_band(w);
+  }
+  phase_wait();
+  std::vector<double>& to = normalize ? norm_rates_ : rates_;
+  const std::size_t slots = to.size();
+  const auto threads = static_cast<std::size_t>(num_threads_);
+  const auto tu = static_cast<std::size_t>(t);
+  const std::size_t lo = slots * tu / threads;
+  const std::size_t hi = slots * (tu + 1) / threads;
+  gather(lo, hi, normalize ? &WorkerState::norm : &WorkerState::x, to);
+  if (sweep_ != nullptr) sweep_->sweep(tu, lo, hi, to);
 
   const std::int64_t compute_ns = obs::now_ns() - t_begin - wait_ns;
   last_band_ns_[static_cast<std::size_t>(t)] = compute_ns;
@@ -408,13 +482,19 @@ void ParallelNed::thread_main(std::int32_t t) {
   }
 }
 
-void ParallelNed::iterate(bool compute_norm) {
-  norm_this_iter_ = compute_norm;
+void ParallelNed::iterate(bool compute_norm, SweepHook* sweep) {
+  norm_this_iter_ = cfg_.compute_norm && compute_norm;
+  sweep_ = sweep;
   const std::uint64_t capacity_version = problem_.capacity_version();
   refresh_floors_ = capacity_version != capacity_version_;
   capacity_version_ = capacity_version;
-  rates_.resize(problem_.num_slots(), 0.0);
-  norm_rates_.resize(problem_.num_slots(), 0.0);
+  const std::size_t slots = problem_.num_slots();
+  rates_stale_ = norm_this_iter_;
+  (norm_this_iter_ ? norm_rates_ : rates_).resize(slots, 0.0);
+  if (slot_.size() < slots) {  // slots the engine was never told of
+    slot_.resize(slots);
+    flow_pos_.resize(slots, 0);
+  }
   // obs::now_ns, not steady_clock: iterate() wall time is differenced
   // against worker-thread band stamps, so every side must read the same
   // (RAW) clock.
@@ -422,6 +502,8 @@ void ParallelNed::iterate(bool compute_norm) {
   const std::uint64_t c0 = read_cycles();
   start_barrier_.arrive_and_wait();
   end_barrier_.arrive_and_wait();
+  removes_.clear();
+  adds_.clear();
   last_iter_cycles_ = read_cycles() - c0;
   last_iter_seconds_ = static_cast<double>(obs::now_ns() - t0) / 1e9;
 }

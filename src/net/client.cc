@@ -696,8 +696,11 @@ bool EndpointAgent::poll() {
   }
   // Dead-peer detection: a service that stopped talking (no updates,
   // no heartbeats) for peer_timeout_us is gone even though TCP has not
-  // noticed -- O(heartbeat) failover instead of O(TCP timeout).
-  if (cfg_.peer_timeout_us > 0 && last_rx_us_ != 0 &&
+  // noticed -- O(heartbeat) failover instead of O(TCP timeout). Armed
+  // from the connect instant: became_connected stamps last_rx_us_, so a
+  // service that never sends a byte times out too (also when the
+  // connect happened at clock 0).
+  if (cfg_.peer_timeout_us > 0 &&
       now - last_rx_us_ > cfg_.peer_timeout_us) {
     lose_connection(now);
     now_cache_us_ = 0;
@@ -777,7 +780,7 @@ std::int64_t EndpointAgent::next_poll_us() const {
     return 0;
   }
   std::int64_t t = kNever;
-  if (cfg_.peer_timeout_us > 0 && last_rx_us_ != 0) {
+  if (cfg_.peer_timeout_us > 0) {
     t = std::min(t, last_rx_us_ + cfg_.peer_timeout_us + 1);  // poll: >
   }
   if (state_ == ConnState::kConnected && lease_deadline_us_ != 0 &&

@@ -600,5 +600,140 @@ TEST(AllocatorBackendTest, ParallelMatchesSequentialAcrossChurn) {
   EXPECT_EQ(pair.par.stats().flowlet_ends, pair.seq.stats().flowlet_ends);
 }
 
+// ---------------------------------------------------------------------
+// The update stream (run_iteration's `out`): the parallel backend sweeps
+// one slot range per worker thread and the allocator appends the ranges
+// in order, which must give exactly the stream of one sweep in slot
+// order -- whatever the thread count.
+
+// One allocator's rounds under seeded churn: every round's updates.
+struct StreamRun {
+  std::vector<std::vector<RateUpdate>> rounds;
+  AllocatorStats stats;
+};
+
+// 301 flows (7 * 43 slots: no thread count here splits them evenly),
+// then 9 ends and 9 starts per round; the free list recycles the ended
+// slots, so the slot count stays 301. `threads` 0 = sequential backend.
+StreamRun run_stream(int threads, AllocatorConfig acfg, int rounds) {
+  topo::ClosConfig ccfg;
+  ccfg.racks = 8;
+  ccfg.servers_per_rack = 2;
+  ccfg.spines = 2;
+  const topo::ClosTopology clos(ccfg);
+  ParallelConfig pcfg;
+  pcfg.num_threads = threads;
+  Allocator alloc =
+      threads == 0
+          ? Allocator(clos.graph().capacities(), acfg)
+          : Allocator(clos.graph().capacities(), acfg,
+                      parallel_backend(topo::BlockPartition::make(clos, 4),
+                                       pcfg));
+  Rng rng(91);
+  const int hosts = clos.num_hosts();
+  std::vector<std::uint64_t> live;
+  std::uint64_t next_key = 1;
+  const auto start = [&] {
+    const auto src = static_cast<int>(rng.below(hosts));
+    auto dst = static_cast<int>(rng.below(hosts - 1));
+    if (dst >= src) ++dst;
+    const auto p = clos.host_path(clos.host(src), clos.host(dst), next_key);
+    EXPECT_TRUE(alloc.flowlet_start(next_key, to_vec(p)));
+    live.push_back(next_key++);
+  };
+  for (int i = 0; i < 301; ++i) start();
+  StreamRun run;
+  for (int round = 0; round < rounds; ++round) {
+    if (round > 0) {
+      for (int i = 0; i < 9; ++i) {
+        const auto pick = rng.below(live.size());
+        EXPECT_TRUE(alloc.flowlet_end(live[pick]));
+        live[pick] = live.back();
+        live.pop_back();
+      }
+      for (int i = 0; i < 9; ++i) start();
+    }
+    EXPECT_EQ(alloc.problem().num_slots(), 301u);
+    auto& out = run.rounds.emplace_back();
+    alloc.run_iteration(out);
+    const Allocator::RoundStamps& st = alloc.last_round_stamps();
+    EXPECT_LE(st.solve_start_ns, st.solve_end_ns) << "round " << round;
+    EXPECT_LE(st.solve_end_ns, st.emit_end_ns) << "round " << round;
+  }
+  run.stats = alloc.stats();
+  return run;
+}
+
+bool same_update(const RateUpdate& a, const RateUpdate& b) {
+  return a.key == b.key && a.rate_code == b.rate_code &&
+         a.rate_bps == b.rate_bps;
+}
+
+TEST(AllocatorStreamTest, ParallelStreamsAreIdenticalAcrossThreadCounts) {
+  // Anti-entropy every 7 rounds: this round's refresh turns form the
+  // progression (7 - round % 7) % 7 + 7k, which crosses every range
+  // boundary of a 2-, 3- or 4-way split of 301 slots at a different
+  // offset each round.
+  AllocatorConfig acfg;
+  acfg.refresh_rounds = 7;
+  const StreamRun one = run_stream(1, acfg, 40);
+  ASSERT_GT(one.stats.updates_refreshed, 0u);
+  for (const int threads : {2, 3, 4}) {
+    const StreamRun other = run_stream(threads, acfg, 40);
+    for (std::size_t r = 0; r < one.rounds.size(); ++r) {
+      const auto& want = one.rounds[r];
+      const auto& got = other.rounds[r];
+      ASSERT_EQ(got.size(), want.size())
+          << threads << " threads, round " << r;
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        ASSERT_TRUE(same_update(got[i], want[i]))
+            << threads << " threads, round " << r << ", update " << i
+            << ": key " << got[i].key << " vs " << want[i].key;
+      }
+    }
+    EXPECT_EQ(other.stats.updates_emitted, one.stats.updates_emitted);
+    EXPECT_EQ(other.stats.updates_refreshed, one.stats.updates_refreshed)
+        << threads << " threads";
+    EXPECT_EQ(other.stats.updates_suppressed, one.stats.updates_suppressed);
+  }
+}
+
+TEST(AllocatorStreamTest, RefreshTurnsMatchTheSequentialSweep) {
+  // Threshold 1/2: after the first rounds, rate moves this small are all
+  // suppressed, so (bar the churned flows) what goes out is exactly the
+  // refresh turns. The parallel backend's range sweeps must pick the
+  // same turns as the sequential backend's one sweep.
+  AllocatorConfig acfg;
+  acfg.threshold = 0.5;
+  acfg.refresh_rounds = 7;
+  const StreamRun seq = run_stream(0, acfg, 30);
+  const StreamRun par = run_stream(3, acfg, 30);
+  ASSERT_GT(seq.stats.updates_refreshed, 0u);
+  EXPECT_EQ(par.stats.updates_refreshed, seq.stats.updates_refreshed);
+  for (std::size_t r = 10; r < seq.rounds.size(); ++r) {
+    std::vector<std::uint64_t> want, got;
+    for (const RateUpdate& u : seq.rounds[r]) want.push_back(u.key);
+    for (const RateUpdate& u : par.rounds[r]) got.push_back(u.key);
+    EXPECT_EQ(got, want) << "round " << r;
+  }
+}
+
+TEST(AllocatorStreamTest, ZeroThresholdKeyOrderMatchesSequential) {
+  // Threshold 0 notifies every active flow every round (a quantized rate
+  // never equals its raw value), in slot order on both backends; the
+  // churn recycles slots identically, so the key orders agree.
+  AllocatorConfig acfg;
+  acfg.threshold = 0.0;
+  const StreamRun seq = run_stream(0, acfg, 20);
+  const StreamRun par = run_stream(2, acfg, 20);
+  for (std::size_t r = 0; r < seq.rounds.size(); ++r) {
+    ASSERT_EQ(seq.rounds[r].size(), 301u) << "round " << r;
+    std::vector<std::uint64_t> want, got;
+    for (const RateUpdate& u : seq.rounds[r]) want.push_back(u.key);
+    for (const RateUpdate& u : par.rounds[r]) got.push_back(u.key);
+    EXPECT_EQ(got, want) << "round " << r;
+  }
+}
+
 }  // namespace
 }  // namespace ft::core

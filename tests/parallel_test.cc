@@ -257,6 +257,105 @@ TEST(ParallelChurnTest, SlotRecyclingUnderHeavyInterleavedChurn) {
   }
 }
 
+TEST(ParallelChurnTest, SlotRecycledOntoAnotherBlockBeforeOneIterate) {
+  // Churn lands at the next iterate(): here one slot leaves a FlowBlock
+  // in one thread's band and, before the engine iterates, the free list
+  // hands it to a flow of a FlowBlock in the other thread's band. The
+  // removal reads the slot's position in the old block and the add
+  // writes its position in the new one.
+  Instance inst(8, 2, 2, 2);
+  const auto specs = random_flows(inst, 40, 515);
+  NumProblem seq_p(inst.caps);
+  NedSolver seq(seq_p, 1.0);
+  NumProblem par_p(inst.caps);
+  ParallelConfig cfg;
+  cfg.num_blocks = 2;
+  cfg.num_threads = 2;  // one grid row (src block) per thread
+  ParallelNed par(par_p, inst.part, cfg);
+  for (const auto& s : specs) {
+    seq_p.add_flow(s.route, {});
+    par.assign_flow(par_p.add_flow(s.route, {}), s.src_block, s.dst_block);
+  }
+  for (int it = 0; it < 5; ++it) {
+    seq.iterate();
+    par.iterate();
+  }
+  // A flow from block 0 ends; a block-1 flow reuses its slot.
+  std::size_t gone = 0;
+  while (specs[gone].src_block != 0) ++gone;
+  std::size_t next = 0;
+  while (specs[next].src_block != 1) ++next;
+  const auto slot = static_cast<FlowIndex>(gone);
+  par.unassign_flow(slot);
+  par_p.remove_flow(slot);
+  seq_p.remove_flow(slot);
+  ASSERT_EQ(par_p.add_flow(specs[next].route, {}), slot);
+  ASSERT_EQ(seq_p.add_flow(specs[next].route, {}), slot);
+  par.assign_flow(slot, specs[next].src_block, specs[next].dst_block);
+  for (int it = 0; it < 20; ++it) {
+    seq.iterate();
+    par.iterate();
+    for (std::size_t s = 0; s < specs.size(); ++s) {
+      ASSERT_NEAR(par.rates()[s], seq.rates()[s],
+                  std::max(1.0, seq.rates()[s]) * 1e-9)
+          << "iter " << it << " slot " << s;
+    }
+  }
+}
+
+TEST(ParallelChurnTest, StartThenEndBeforeIterateCancels) {
+  // A flow that starts and ends between two iterations never reaches a
+  // band: the pair cancels in the pending lists, however often it
+  // repeats. Engine `a` sees 1000 such pairs, engine `b` none; both must
+  // stay bit-identical.
+  Instance inst(8, 2, 2, 4);
+  const auto specs = random_flows(inst, 60, 616);
+  ParallelConfig cfg;
+  cfg.num_blocks = 4;
+  cfg.num_threads = 3;
+  NumProblem pa(inst.caps);
+  NumProblem pb(inst.caps);
+  ParallelNed a(pa, inst.part, cfg);
+  ParallelNed b(pb, inst.part, cfg);
+  for (const auto& s : specs) {
+    a.assign_flow(pa.add_flow(s.route, {}), s.src_block, s.dst_block);
+    b.assign_flow(pb.add_flow(s.route, {}), s.src_block, s.dst_block);
+  }
+  a.iterate();
+  b.iterate();
+  const auto pairs = [&](FlowIndex want_slot) {
+    for (int i = 0; i < 1000; ++i) {
+      const auto& s = specs[static_cast<std::size_t>(i) % specs.size()];
+      const FlowIndex slot = pa.add_flow(s.route, {});
+      ASSERT_EQ(slot, want_slot);
+      a.assign_flow(slot, s.src_block, s.dst_block);
+      a.unassign_flow(slot);
+      pa.remove_flow(slot);
+    }
+  };
+  // On a fresh slot with nothing else pending: rates() gathers from the
+  // bands, which it only does with no churn pending.
+  pairs(static_cast<FlowIndex>(specs.size()));
+  for (std::size_t s = 0; s < specs.size(); ++s) {
+    ASSERT_EQ(a.rates()[s], b.rates()[s]) << "slot " << s;
+  }
+  // On a slot whose flow just ended, so its removal stays pending.
+  for (auto [p, e] : {std::pair<NumProblem*, ParallelNed*>{&pa, &a},
+                      std::pair<NumProblem*, ParallelNed*>{&pb, &b}}) {
+    e->unassign_flow(7);
+    p->remove_flow(7);
+  }
+  pairs(7);
+  for (int it = 0; it < 10; ++it) {
+    a.iterate();
+    b.iterate();
+  }
+  for (std::size_t s = 0; s < specs.size(); ++s) {
+    EXPECT_EQ(a.rates()[s], b.rates()[s]) << "slot " << s;
+    EXPECT_EQ(a.norm_rates()[s], b.norm_rates()[s]) << "slot " << s;
+  }
+}
+
 TEST(ParallelDeterminismTest, SameResultsAcrossThreadCounts) {
   Instance inst(8, 2, 2, 4);
   const auto specs = random_flows(inst, 80, 1234);
@@ -313,19 +412,20 @@ TEST(ParallelDeterminismTest, SameResultsAcrossThreadCounts) {
 }
 
 TEST(ParallelBarrierTest, BarriersOnlyWhereThreadBandsMeet) {
-  // Barrier crossings per iteration (start and end included) for
-  // (grid side n, threads). A phase barrier precedes only the
-  // aggregation steps -- and their reverse distribution steps -- with a
-  // transfer between two threads' bands; with whole-row bands upward
-  // transfers never cross, so only the column transfers between row
-  // bands do. (Barriering every step costs 2*log2(n) + 4.)
+  // Barriers an iteration can cross for (grid side n, threads): start,
+  // churn (between removals and adds), gather and end, plus a phase
+  // barrier before each aggregation step -- and its reverse
+  // distribution step -- with a transfer between two threads' bands.
+  // With whole-row bands upward transfers never cross, so only the
+  // column transfers between row bands do. (Barriering every step
+  // costs 2*log2(n) + 6.)
   struct Row {
     std::int32_t n;
     std::int32_t threads;
     std::int32_t barriers;
   };
-  for (const Row& row : {Row{8, 2, 4}, Row{8, 1, 2}, Row{8, 8, 8},
-                         Row{4, 16, 6}, Row{2, 2, 4}}) {
+  for (const Row& row : {Row{8, 2, 6}, Row{8, 1, 4}, Row{8, 8, 10},
+                         Row{4, 16, 8}, Row{2, 2, 6}}) {
     Instance inst(8, 1, 1, row.n);
     NumProblem p(inst.caps);
     ParallelConfig cfg;

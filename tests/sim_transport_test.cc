@@ -996,9 +996,9 @@ TEST(AgentDeadlineTest, PeerTimeoutIsDueJustPastTheTimeout) {
   net::AgentConfig acfg;
   acfg.peer_timeout_us = 30'000;
   DrillPlane p(24, 0, 0, acfg);
-  // Connected at virtual 0, nothing received yet: the timeout is
-  // disarmed until the first byte arrives (poll() tests last_rx != 0).
-  EXPECT_EQ(p.agent.next_poll_us(), kNever);
+  // Connected at virtual 0, nothing received yet: the timeout runs from
+  // the connect.
+  EXPECT_EQ(p.agent.next_poll_us(), 30'001);
   start_acked_flows(p, 1);
   const std::int64_t due = p.last_rx_us + 30'000 + 1;  // poll tests >
   EXPECT_EQ(p.agent.next_poll_us(), due);
@@ -1007,6 +1007,24 @@ TEST(AgentDeadlineTest, PeerTimeoutIsDueJustPastTheTimeout) {
   EXPECT_EQ(p.agent.stats().disconnects, 1u);
   EXPECT_EQ(p.agent.conn_state(), net::ConnState::kDisconnected);
   EXPECT_EQ(p.agent.next_poll_us(), kNever);  // lost for good
+}
+
+TEST(AgentDeadlineTest, SilentServiceTimesOutAnAgentConnectedAtZero) {
+  // The service never sends a byte (no flows, no heartbeats): the agent,
+  // connected at virtual 0, gives it up one microsecond past the peer
+  // timeout.
+  net::AgentConfig acfg;
+  acfg.peer_timeout_us = 30'000;
+  DrillPlane p(27, 0, 0, acfg);
+  ASSERT_EQ(p.now_us(), 0);
+  p.q.run_until(30'000 * kMicrosecond);
+  p.agent.poll();
+  EXPECT_EQ(p.agent.conn_state(), net::ConnState::kConnected);
+  EXPECT_EQ(p.agent.stats().bytes_in, 0u);
+  p.q.run_until(30'001 * kMicrosecond);
+  p.agent.poll();
+  EXPECT_EQ(p.agent.stats().disconnects, 1u);
+  EXPECT_EQ(p.agent.conn_state(), net::ConnState::kDisconnected);
 }
 
 TEST(AgentDeadlineTest, ReconnectAttemptIsDueAfterTheBackoff) {

@@ -57,20 +57,29 @@ topo::ClosTopology small_clos() {
   return topo::ClosTopology(cfg);
 }
 
-void start_random_flows(Allocator& alloc, const topo::ClosTopology& clos,
-                        int count, std::uint64_t first_key) {
+// The routes of flows first_key, first_key + 1, ...: random host pairs.
+std::vector<std::vector<LinkId>> random_routes(const topo::ClosTopology& clos,
+                                               int count,
+                                               std::uint64_t first_key) {
   Rng rng(first_key);
   const int hosts = clos.num_hosts();
-  std::vector<LinkId> route;
+  std::vector<std::vector<LinkId>> routes;
   for (int i = 0; i < count; ++i) {
     const auto src = static_cast<int>(rng.below(hosts));
     auto dst = static_cast<int>(rng.below(hosts - 1));
     if (dst >= src) ++dst;
     const auto p = clos.host_path(clos.host(src), clos.host(dst),
                                   first_key + static_cast<std::uint64_t>(i));
-    route.assign(p.begin(), p.end());
-    ASSERT_TRUE(alloc.flowlet_start(
-        first_key + static_cast<std::uint64_t>(i), route));
+    routes.emplace_back(p.begin(), p.end());
+  }
+  return routes;
+}
+
+void start_random_flows(Allocator& alloc, const topo::ClosTopology& clos,
+                        int count, std::uint64_t first_key) {
+  const auto routes = random_routes(clos, count, first_key);
+  for (std::size_t i = 0; i < routes.size(); ++i) {
+    ASSERT_TRUE(alloc.flowlet_start(first_key + i, routes[i]));
   }
 }
 
@@ -129,6 +138,61 @@ TEST(ZeroAllocTest, ParallelBackendSteadyStateRoundsAreAllocationFree) {
     alloc.run_iteration(out);
   }
   EXPECT_EQ(allocations_during_rounds(alloc, 50, out), 0u);
+
+  // Then with churn between the rounds, still without Allocator::reserve
+  // (as allocator_server --alloc-threads runs): 10 flows end and their
+  // routes start again under new keys, so the slot count and every
+  // FlowBlock's population hold. The churn lands in the bands at the
+  // next round; the band arrays, pending churn lists and per-range
+  // update buffers keep their capacity, so neither the churn nor the
+  // rounds allocate.
+  const auto routes = random_routes(clos, 300, 1);  // routes[key - 1]
+  std::uint64_t next_key = 301;
+  const auto churn_and_round = [&] {
+    for (std::uint64_t k = next_key - 300; k < next_key - 290; ++k) {
+      EXPECT_TRUE(alloc.flowlet_end(k));
+    }
+    for (int i = 0; i < 10; ++i, ++next_key) {
+      EXPECT_TRUE(alloc.flowlet_start(next_key, routes[(next_key - 1) % 300]));
+    }
+    out.clear();
+    alloc.run_iteration(out);
+  };
+  for (int i = 0; i < 5; ++i) churn_and_round();
+  const std::uint64_t before = g_news.load(std::memory_order_relaxed);
+  for (int i = 0; i < 50; ++i) churn_and_round();
+  EXPECT_EQ(g_news.load(std::memory_order_relaxed) - before, 0u);
+  EXPECT_GE(out.size(), 10u);  // every new flow's first rate goes out
+}
+
+TEST(ZeroAllocTest, ParallelFullEmissionAtASettledSlotCountIsAllocationFree) {
+  // A range's update buffer is sized to its slot range, not to what a
+  // round happened to emit: once the slot count settles, a round that
+  // re-emits every flow after quiet rounds allocates nothing, with no
+  // Allocator::reserve. 298 flows, then 2 more, so the worker's range
+  // grows from 149 slots to 150 in a round that emits only a few.
+  const auto clos = small_clos();
+  ParallelConfig pcfg;
+  pcfg.num_threads = 2;
+  Allocator alloc(clos.graph().capacities(), AllocatorConfig{},
+                  parallel_backend(topo::BlockPartition::make(clos, 4),
+                                   pcfg));
+  start_random_flows(alloc, clos, 298, 1);
+  std::vector<RateUpdate> out;
+  for (int i = 0; i < 5; ++i) {
+    out.clear();
+    alloc.run_iteration(out);
+  }
+  start_random_flows(alloc, clos, 2, 299);
+  for (int i = 0; i < 5; ++i) {
+    out.clear();
+    alloc.run_iteration(out);
+  }
+  for (std::uint64_t key = 1; key <= 300; ++key) {
+    alloc.invalidate_notification(key);
+  }
+  EXPECT_EQ(allocations_during_rounds(alloc, 1, out), 0u);
+  EXPECT_EQ(out.size(), 300u);
 }
 
 TEST(ZeroAllocTest, MetricsAndTracingEnabledRoundsStayAllocationFree) {
@@ -239,9 +303,9 @@ TEST(ZeroAllocTest, FrameWriterSteadyStateBatchesAreAllocationFree) {
 }
 
 // Heap allocations during one start+end pass over 512 routes after a
-// warm pass over the same routes. The sequential allocator needs no warm
-// pass (see ReserveCoversSkewedChurnWithoutWarmup); the parallel
-// backend's per-FlowBlock arrays grow to each block's own peak once.
+// warm pass over the same routes, with no round in between. The
+// sequential allocator needs no warm pass (see
+// ReserveCoversSkewedChurnWithoutWarmup).
 std::uint64_t allocations_during_warm_churn(Allocator& alloc,
                                             const topo::ClosTopology& clos) {
   alloc.reserve(1024);
@@ -311,9 +375,10 @@ TEST(ZeroAllocTest, ReserveCoversSkewedChurnWithoutWarmup) {
 }
 
 TEST(ZeroAllocTest, ReserveMakesParallelChurnAllocationFree) {
-  // The same under the §5 backend: each FlowBlock's band-local flow
-  // arrays keep their capacity across swap-removes, so once warm,
-  // assign/unassign churn never touches the heap either.
+  // The same under the §5 backend, whose assign/unassign only record
+  // churn for the next round: each start lands in the pending add list
+  // and its end cancels it, so the list stays within the reserved slot
+  // count however many pairs arrive between rounds.
   const auto clos = small_clos();
   ParallelConfig pcfg;
   pcfg.num_threads = 2;
